@@ -100,7 +100,10 @@ pub fn default_rules() -> Vec<LintRule> {
         LintRule {
             name: "ad-hoc-thread",
             severity: Severity::Deny,
-            patterns: vec![concat!("thread::", "spawn", "(").to_string()],
+            patterns: vec![
+                concat!("thread::", "spawn", "(").to_string(),
+                concat!("thread::", "scope", "(").to_string(),
+            ],
             include: vec![],
             exclude: vec!["crates/par/"],
             rationale: "all parallelism flows through the poneglyph-par thread budget so \
@@ -304,6 +307,19 @@ mod tests {
         assert_eq!(f[0].rule, "ad-hoc-thread");
         assert!(lint_source("crates/par/src/lib.rs", spawn, &default_rules()).is_empty());
 
+        // Scoped threads count too; long-lived named `thread::Builder`
+        // threads (acceptor, workers, scrape endpoint) do not.
+        let scope = concat!(
+            "fn go() { std::thread::",
+            "scope(|s| { s.spawn(|| {}); }); }\n"
+        );
+        let f = lint_source("crates/curve/src/msm.rs", scope, &default_rules());
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].rule, "ad-hoc-thread");
+        assert!(lint_source("crates/par/src/lib.rs", scope, &default_rules()).is_empty());
+        let named = "fn go() { std::thread::Builder::new().name(n).spawn(f); }\n";
+        assert!(lint_source("crates/service/src/server.rs", named, &default_rules()).is_empty());
+
         let relaxed = "fn n() -> usize { C.load(std::sync::atomic::Ordering::Relaxed) }\n";
         let f = lint_source("crates/bench/src/lib.rs", relaxed, &default_rules());
         assert_eq!(f.len(), 1);
@@ -323,7 +339,7 @@ mod tests {
         let counted = "match t {\n    REQ_INFO => {\n        record_request(\"info\");\n        reply();\n    }\n}\n";
         assert!(lint_request_counters("crates/service/src/server.rs", counted).is_empty());
 
-        let uncounted = "match t {\n    REQ_INFO => {\n        reply();\n    }\n    REQ_QUERY => {\n        record_request(\"query\");\n    }\n}\n";
+        let uncounted = "match t {\n    REQ_INFO => {\n        reply();\n    }\n    REQ_SQL => {\n        record_request(\"sql\");\n    }\n}\n";
         let f = lint_request_counters("crates/service/src/server.rs", uncounted);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "request-counter");

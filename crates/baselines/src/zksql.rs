@@ -18,9 +18,9 @@
 //! in DESIGN.md.
 
 use poneglyph_arith::Fq;
-use poneglyph_core::{compile, GateSet, QueryResponse};
+use poneglyph_core::{compile, GateSet, Parallelism, QueryResponse};
 use poneglyph_pcs::IpaParams;
-use poneglyph_plonkish::{keygen, prove, verify};
+use poneglyph_plonkish::{keygen_pk_with, prove_timed, verify};
 use poneglyph_sql::{execute, Database, Plan, Table};
 use rand::Rng;
 
@@ -197,9 +197,9 @@ pub fn prove_interactive(
             ));
         }
         let params_k = params.truncate(k);
-        let pk = keygen(&params_k, &compiled.cs, &compiled.asn);
-        let instance = compiled.instance.clone();
-        let proof = prove(&params_k, &pk, compiled.asn, rng).map_err(|e| e.to_string())?;
+        let pk = keygen_pk_with(&params_k, &compiled.cs, &compiled.asn, Parallelism::auto());
+        let (proof, _) = prove_timed(&params_k, &pk, compiled.asn, rng, Parallelism::auto())
+            .map_err(|e| e.to_string())?;
         // Interactive round: the (designated) verifier replies with a fresh
         // random challenge that seeds the next round.
         let challenge = poneglyph_arith::PrimeField::random(rng);
@@ -215,7 +215,7 @@ pub fn prove_interactive(
             op: sub.op_name().to_string(),
             response: QueryResponse {
                 result: trace.output.clone(),
-                instance,
+                instance: compiled.instance,
                 proof,
                 k,
             },
@@ -261,7 +261,7 @@ pub fn verify_interactive(params: &IpaParams, session: &InteractiveSession) -> R
             return Err("circuit size mismatch".to_string());
         }
         let params_k = params.truncate(round.response.k);
-        let pk = keygen(&params_k, &compiled.cs, &compiled.asn);
+        let pk = keygen_pk_with(&params_k, &compiled.cs, &compiled.asn, Parallelism::auto());
         verify(
             &params_k,
             &pk.vk,

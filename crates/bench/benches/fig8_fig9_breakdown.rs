@@ -2,8 +2,9 @@
 //! `repro fig8` / `repro fig9` run the paper's Q1/Q3 breakdowns.
 use criterion::{criterion_group, criterion_main, Criterion};
 use poneglyph_bench::rng;
-use poneglyph_core::{compile, GateSet};
+use poneglyph_core::{compile, GateSet, Parallelism};
 use poneglyph_pcs::IpaParams;
+use poneglyph_plonkish::{keygen_pk_with, prove_timed};
 use poneglyph_sql::{execute, CmpOp, Plan, Predicate};
 use poneglyph_tpch::generate;
 
@@ -31,8 +32,9 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let compiled = compile(&db, &plan, Some(&trace), gates).expect("compile");
                 let params_k = params.truncate(compiled.asn.k);
-                let pk = poneglyph_plonkish::keygen(&params_k, &compiled.cs, &compiled.asn);
-                poneglyph_plonkish::prove(&params_k, &pk, compiled.asn, &mut rng()).expect("prove")
+                let par = Parallelism::auto();
+                let pk = keygen_pk_with(&params_k, &compiled.cs, &compiled.asn, par);
+                prove_timed(&params_k, &pk, compiled.asn, &mut rng(), par).expect("prove")
             })
         });
     }

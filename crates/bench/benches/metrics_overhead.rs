@@ -36,9 +36,12 @@ fn filter_plan() -> Plan {
 
 fn metrics_overhead(c: &mut Criterion) {
     let params = IpaParams::setup(11);
-    let service = ProvingService::new(params, bench_db(), ServiceConfig::default());
+    let service = ProvingService::empty(params, ServiceConfig::default());
+    let digest = service.attach(bench_db());
     // Prime the cache: every measured iteration below is a pure hit.
-    service.query(filter_plan()).expect("prime the cache");
+    service
+        .query_on(&digest, filter_plan())
+        .expect("prime the cache");
 
     let mut group = c.benchmark_group("metrics_overhead");
     group.sample_size(10);
@@ -49,7 +52,9 @@ fn metrics_overhead(c: &mut Criterion) {
         group.bench_function(label, |b| {
             poneglyph_obs::set_enabled(enabled);
             b.iter(|| {
-                let served = service.query(filter_plan()).expect("cached query");
+                let served = service
+                    .query_on(&digest, filter_plan())
+                    .expect("cached query");
                 assert!(served.cache_hit);
                 served
             });

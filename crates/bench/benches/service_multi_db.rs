@@ -65,8 +65,7 @@ fn verifier_sessions(c: &mut Criterion) {
     let mut g = c.benchmark_group("service_multi_db/verify");
     g.sample_size(10);
 
-    // Cold: a throwaway session per response — compile + keygen each time
-    // (what the deprecated `verify_query` wrapper does).
+    // Cold: a throwaway session per response — compile + keygen each time.
     g.bench_function("cold_one_shot", |b| {
         b.iter(|| {
             VerifierSession::new(params.clone(), shape.clone())

@@ -45,15 +45,15 @@ fn service_throughput(c: &mut Criterion) {
     group.sample_size(3);
 
     for workers in [1usize, 2, 4] {
-        let service = ProvingService::new(
+        let service = ProvingService::empty(
             params.clone(),
-            bench_db(),
             ServiceConfig {
                 workers,
                 cache_capacity: 4, // small: cold queries churn through it
                 ..ServiceConfig::default()
             },
         );
+        let digest = service.attach(bench_db());
 
         // Cold: 4 distinct queries in flight at once, no cache reuse.
         let unique = AtomicI64::new(1);
@@ -62,7 +62,9 @@ fn service_throughput(c: &mut Criterion) {
                 let handles: Vec<_> = (0..4)
                     .map(|_| {
                         let bound = unique.fetch_add(1, Ordering::SeqCst);
-                        service.submit(filter_plan(bound))
+                        service
+                            .submit_on(&digest, filter_plan(bound))
+                            .expect("hosted")
                     })
                     .collect();
                 for h in handles {
@@ -74,11 +76,11 @@ fn service_throughput(c: &mut Criterion) {
 
         // Warm the cache once, then measure pure cache-hit serving.
         let warm = filter_plan(0);
-        service.query(warm.clone()).expect("warm");
+        service.query_on(&digest, warm.clone()).expect("warm");
         group.bench_function(format!("cache_hit_100_queries/{workers}_workers"), |b| {
             b.iter(|| {
                 for _ in 0..100 {
-                    let served = service.query(warm.clone()).expect("hit");
+                    let served = service.query_on(&digest, warm.clone()).expect("hit");
                     assert!(served.cache_hit);
                 }
             })

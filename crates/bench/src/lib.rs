@@ -6,8 +6,9 @@
 //! benches share.
 
 use poneglyph_baselines::{libra, sqlcirc, zksql};
-use poneglyph_core::{GateSet, ProverSession, VerifierSession};
+use poneglyph_core::{GateSet, Parallelism, ProverSession, VerifierSession};
 use poneglyph_pcs::IpaParams;
+use poneglyph_plonkish::{keygen_pk_with, prove_timed};
 use poneglyph_sql::{execute, Database, Plan};
 use rand::{rngs::StdRng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -109,8 +110,7 @@ pub fn measure_query(
     let prover = ProverSession::new(params.clone(), db.clone());
     let (response, prove, peak) = timed_with_peak(|| prover.prove(plan, &mut r).expect("prove"));
     let verifier = VerifierSession::new(params.clone(), poneglyph_core::database_shape(db));
-    let (res, verify) = timed(|| verifier.verify(plan, &response).expect("verify"));
-    let _ = res;
+    let (_, verify) = timed(|| verifier.verify(plan, &response).expect("verify"));
     QueryMeasurement {
         name: name.to_string(),
         prove,
@@ -207,11 +207,11 @@ pub fn breakdown(params: &IpaParams, db: &Database, plan: &Plan) -> Vec<(String,
     for (label, gates) in stages {
         let mut r = rng();
         let compiled = poneglyph_core::compile(db, plan, Some(&trace), gates).expect("compile");
-        let k = compiled.asn.k;
-        let params_k = params.truncate(k);
+        let params_k = params.truncate(compiled.asn.k);
         let (_, total) = timed(|| {
-            let pk = poneglyph_plonkish::keygen(&params_k, &compiled.cs, &compiled.asn);
-            poneglyph_plonkish::prove(&params_k, &pk, compiled.asn.clone(), &mut r).expect("prove")
+            let par = Parallelism::auto();
+            let pk = keygen_pk_with(&params_k, &compiled.cs, &compiled.asn, par);
+            prove_timed(&params_k, &pk, compiled.asn.clone(), &mut r, par).expect("prove")
         });
         let delta = total.saturating_sub(prev);
         out.push((

@@ -1,17 +1,17 @@
-//! The PoneglyphDB system API: database commitments (workflow step 2),
-//! query proving (steps 3–4) and verification (step 5) — Figure 2 of the
-//! paper.
+//! The PoneglyphDB system API: database commitments (workflow step 2) and
+//! the response and error types of query proving (steps 3–4) and
+//! verification (step 5) — Figure 2 of the paper. The sessions run those
+//! steps.
 
-use crate::compiler::{compile, CompiledQuery, GateSet};
+use crate::compiler::{compile, GateSet};
 use crate::encode::encode_fq;
-use crate::session::{ProverSession, VerifierSession};
 use poneglyph_arith::Fq;
 use poneglyph_curve::PallasAffine;
 use poneglyph_hash::Blake2b;
+use poneglyph_par::Parallelism;
 use poneglyph_pcs::IpaParams;
-use poneglyph_plonkish::{keygen_pk, mock_prove, Proof, ProvingKey};
+use poneglyph_plonkish::{mock_prove, Proof};
 use poneglyph_sql::{execute, Database, Plan, Table};
-use rand::Rng;
 use std::collections::BTreeMap;
 
 /// A binding cryptographic commitment to a database state (paper §3.3):
@@ -38,7 +38,7 @@ impl DatabaseCommitment {
                 let mut acc = poneglyph_curve::Pallas::identity();
                 for chunk in col.chunks(params.n) {
                     let encoded: Vec<Fq> = chunk.iter().map(|v| encode_fq(*v)).collect();
-                    acc = acc.add(&params.commit(&encoded, Fq::ZERO));
+                    acc = acc.add(&params.commit_with(&encoded, Fq::ZERO, Parallelism::auto()));
                 }
                 comms.push(acc.to_affine());
             }
@@ -166,44 +166,6 @@ impl std::fmt::Display for DbError {
 
 impl std::error::Error for DbError {}
 
-/// Compile and key a query against a concrete database (prover side).
-pub fn prover_setup(
-    params: &IpaParams,
-    db: &Database,
-    plan: &Plan,
-) -> Result<(CompiledQuery, ProvingKey, IpaParams), DbError> {
-    let trace = execute(db, plan).map_err(|e| DbError::Execute(e.to_string()))?;
-    let compiled = compile(db, plan, Some(&trace), GateSet::default()).map_err(DbError::Compile)?;
-    let k = compiled.asn.k;
-    if k > params.k {
-        return Err(DbError::Compile(format!(
-            "circuit needs 2^{k} rows but parameters cap at 2^{}",
-            params.k
-        )));
-    }
-    let params_k = params.truncate(k);
-    let pk = keygen_pk(&params_k, &compiled.cs, &compiled.asn);
-    Ok((compiled, pk, params_k))
-}
-
-/// Execute a query and produce a [`QueryResponse`] (the full prover path).
-///
-/// One-shot wrapper over a throwaway [`ProverSession`]: every call clones
-/// the database and regenerates the proving key. Long-lived provers should
-/// hold a session instead.
-#[deprecated(
-    since = "0.2.0",
-    note = "construct a `ProverSession` and call `prove` — it caches keys across queries"
-)]
-pub fn prove_query(
-    params: &IpaParams,
-    db: &Database,
-    plan: &Plan,
-    rng: &mut impl Rng,
-) -> Result<QueryResponse, DbError> {
-    ProverSession::new(params.clone(), db.clone()).prove(plan, rng)
-}
-
 /// Check a query circuit's constraints without proving (fast debugging).
 pub fn check_query(db: &Database, plan: &Plan) -> Result<(), DbError> {
     let trace = execute(db, plan).map_err(|e| DbError::Execute(e.to_string()))?;
@@ -233,27 +195,4 @@ pub fn database_shape(db: &Database) -> Database {
         shape.add_table(name, zt);
     }
     shape
-}
-
-/// Verify a [`QueryResponse`] (verifier side): re-derive the circuit
-/// structure from the plan + public table sizes, regenerate the verifying
-/// key (prover tables are never materialized), check the proof against the
-/// instance, and extract the result.
-///
-/// One-shot wrapper over a throwaway [`VerifierSession`]: every call
-/// re-compiles the circuit and regenerates the verifying key. Clients
-/// checking a stream of responses should hold a session (and batch with
-/// [`VerifierSession::verify_batch`]).
-#[deprecated(
-    since = "0.2.0",
-    note = "construct a `VerifierSession` and call `verify` / `verify_batch` — it caches \
-            compiled circuits and keys"
-)]
-pub fn verify_query(
-    params: &IpaParams,
-    shape: &Database,
-    plan: &Plan,
-    response: &QueryResponse,
-) -> Result<Table, DbError> {
-    VerifierSession::new(params.clone(), shape.clone()).verify(plan, response)
 }

@@ -22,11 +22,8 @@ pub use builder::{BitCol, Builder};
 pub use cache::LruCache;
 pub use compiler::{compile, CompiledQuery, GateSet};
 pub use db::{
-    check_query, database_shape, prover_setup, CommitmentRegistry, DatabaseCommitment, DbError,
-    QueryResponse,
+    check_query, database_shape, CommitmentRegistry, DatabaseCommitment, DbError, QueryResponse,
 };
-#[allow(deprecated)]
-pub use db::{prove_query, verify_query};
 pub use encode::{decode, encode, encode_fq, MAX_VALUE, VALUE_BOUND, VALUE_BYTES};
 pub use mutate::{apply_append, AppliedDelta, DeltaLog, MutationError, RowBatch};
 pub use poneglyph_par::Parallelism;
@@ -293,26 +290,6 @@ mod tests {
         assert_eq!(again.result, expected);
         assert_eq!(prover.stats().keygens, 1);
         assert_eq!(prover.stats().key_cache_hits, 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_one_shot_wrappers_still_work() {
-        let db = test_db();
-        let plan = Plan::Filter {
-            input: Box::new(scan("t")),
-            predicates: vec![Predicate::ColConst {
-                col: 2,
-                op: CmpOp::Ge,
-                value: 30,
-            }],
-        };
-        let params = poneglyph_pcs::IpaParams::setup(11);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-        let response = prove_query(&params, &db, &plan, &mut rng).expect("prove");
-        let shape = database_shape(&db);
-        let verified = verify_query(&params, &shape, &plan, &response).expect("verify");
-        assert_eq!(verified, execute(&db, &plan).unwrap().output);
     }
 
     #[test]

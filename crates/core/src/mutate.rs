@@ -32,7 +32,8 @@
 
 use crate::db::DatabaseCommitment;
 use crate::encode::{encode_fq, MAX_VALUE};
-use poneglyph_curve::{msm, PallasAffine};
+use poneglyph_curve::{msm_with, PallasAffine};
+use poneglyph_par::Parallelism;
 use poneglyph_pcs::IpaParams;
 use poneglyph_sql::Database;
 
@@ -203,7 +204,7 @@ impl DatabaseCommitment {
         let mut deltas = Vec::with_capacity(width);
         for (j, comm) in comms.iter_mut().enumerate() {
             let scalars: Vec<_> = rows.iter().map(|row| encode_fq(row[j])).collect();
-            let delta = msm(&scalars, &bases);
+            let delta = msm_with(&scalars, &bases, Parallelism::auto());
             *comm = comm.to_projective().add(&delta).to_affine();
             deltas.push(delta.to_affine());
         }

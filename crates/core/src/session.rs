@@ -2,13 +2,11 @@
 //! compiled circuits and keys across queries.
 //!
 //! The paper's deployment model (Figure 2) is a long-lived prover serving
-//! many queries against a committed database — yet the one-shot
-//! [`prove_query`](crate::prove_query)/[`verify_query`](crate::verify_query)
-//! functions re-compile the circuit and regenerate keys on every call. A
-//! [`ProverSession`] / [`VerifierSession`] owns the parameters plus a
-//! database (or its public shape) and keeps a map from *canonical plan
-//! fingerprint* to the compiled keys, so serving or checking N responses
-//! for one plan compiles and keys exactly once.
+//! many queries against a committed database. A [`ProverSession`] /
+//! [`VerifierSession`] owns the parameters plus a database (or its public
+//! shape) and keeps a map from *canonical plan fingerprint* to the
+//! compiled keys, so serving or checking N responses for one plan compiles
+//! and keys exactly once.
 //!
 //! [`VerifierSession::verify_batch`] goes further: the per-proof IPA
 //! opening checks — the verifier's dominant MSM cost — are folded into one
@@ -38,7 +36,8 @@ use poneglyph_hash::Transcript;
 use poneglyph_par::Parallelism;
 use poneglyph_pcs::{IpaAccumulator, IpaParams};
 use poneglyph_plonkish::{
-    keygen_pk_with, keygen_vk, prove_timed, verify, verify_accumulate, ProvingKey, VerifyingKey,
+    keygen_pk_with, keygen_vk_with, prove_timed, verify, verify_accumulate, ProvingKey,
+    VerifyingKey,
 };
 use poneglyph_sql::{
     canonical_plan, canonical_plan_fingerprint, execute, Database, Plan, Schema, Table,
@@ -348,7 +347,7 @@ struct PreparedQuery {
     k: u32,
     /// Parameters truncated to the circuit's size.
     params_k: IpaParams,
-    /// The verifying key (no prover-only tables — built by [`keygen_vk`]).
+    /// The verifying key (no prover-only tables — built by [`keygen_vk_with`]).
     vk: VerifyingKey,
     /// Rows in the output region (instance extraction bound).
     output_cap: usize,
@@ -362,7 +361,7 @@ struct PreparedQuery {
 /// values are irrelevant — circuit structure depends only on sizes).
 /// Caches `(circuit, verifying key)` by canonical plan fingerprint, so
 /// checking N responses for one plan compiles and keys once. Keys are
-/// generated with [`keygen_vk`]: the verifier path never materializes
+/// generated with [`keygen_vk_with`]: the verifier path never materializes
 /// prover-only tables.
 pub struct VerifierSession {
     params: IpaParams,
@@ -424,7 +423,7 @@ impl VerifierSession {
             }
             self.stats.keygens.fetch_add(1, Ordering::SeqCst);
             let params_k = self.params.truncate(k);
-            let vk = keygen_vk(&params_k, &compiled.cs, &compiled.asn);
+            let vk = keygen_vk_with(&params_k, &compiled.cs, &compiled.asn, Parallelism::auto());
             let lookup = |name: &str| {
                 self.shape
                     .table(name)

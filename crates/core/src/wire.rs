@@ -19,7 +19,7 @@
 //! off-curve points are rejected by the underlying `from_repr`/`from_bytes`
 //! primitives, so a decoded response is structurally valid — its
 //! *cryptographic* validity is still established only by
-//! [`verify_query`](crate::verify_query).
+//! [`VerifierSession::verify`](crate::VerifierSession::verify).
 
 use crate::db::QueryResponse;
 use poneglyph_arith::{Fq, PrimeField};
@@ -124,7 +124,8 @@ impl QueryResponse {
 
     /// Deserialize; rejects malformed input with a clean error, never
     /// panics. The decoded response still needs
-    /// [`verify_query`](crate::verify_query) before its claims are trusted.
+    /// [`VerifierSession::verify`](crate::VerifierSession::verify) before
+    /// its claims are trusted.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = ByteReader::new(bytes);
         if r.take(4)? != RESPONSE_MAGIC {

@@ -11,5 +11,5 @@
 mod msm;
 mod pallas;
 
-pub use msm::{msm, msm_with};
+pub use msm::msm_with;
 pub use pallas::{curve_b, hash_to_curve, Pallas, PallasAffine};

@@ -2,11 +2,11 @@
 //!
 //! The prover's commitment cost is dominated by MSMs of size 2^k (one per
 //! committed column/polynomial), so this routine is parallelized across
-//! windows with std scoped threads.
+//! windows under the caller's [`Parallelism`] budget.
 
 use crate::pallas::{Pallas, PallasAffine};
 use poneglyph_arith::{Fq, PrimeField};
-use poneglyph_par::Parallelism;
+use poneglyph_par::{par_chunks_mut, Parallelism};
 use std::sync::OnceLock;
 
 /// Record one MSM's term count into `poneglyph_msm_size` (handle cached:
@@ -36,18 +36,12 @@ fn window_size(n: usize) -> usize {
     }
 }
 
-/// Computes `sum_i scalars[i] * bases[i]` under the auto-detected thread
-/// budget.
-///
-/// Panics if the slices have different lengths.
-pub fn msm(scalars: &[Fq], bases: &[PallasAffine]) -> Pallas {
-    msm_with(scalars, bases, Parallelism::auto())
-}
-
-/// [`msm`] under an explicit thread budget: Pippenger windows are split
+/// Computes `sum_i scalars[i] * bases[i]`: Pippenger windows are split
 /// across at most `par.threads()` scoped workers (serial budget = no
 /// spawns). The result is identical at any budget — window sums combine
 /// by exact group addition.
+///
+/// Panics if the slices have different lengths.
 pub fn msm_with(scalars: &[Fq], bases: &[PallasAffine], par: Parallelism) -> Pallas {
     assert_eq!(
         scalars.len(),
@@ -102,26 +96,12 @@ pub fn msm_with(scalars: &[Fq], bases: &[PallasAffine], par: Parallelism) -> Pal
         acc
     };
 
-    let threads = par.threads().min(num_windows);
-
     let mut sums = vec![Pallas::identity(); num_windows];
-    if threads <= 1 {
-        for (w, s) in sums.iter_mut().enumerate() {
-            *s = window_sum(w);
+    par_chunks_mut(par, &mut sums, 1, |base_w, chunk| {
+        for (j, s) in chunk.iter_mut().enumerate() {
+            *s = window_sum(base_w + j);
         }
-    } else {
-        std::thread::scope(|scope| {
-            for (i, chunk) in sums.chunks_mut(num_windows.div_ceil(threads)).enumerate() {
-                let base_w = i * num_windows.div_ceil(threads);
-                let window_sum = &window_sum;
-                scope.spawn(move || {
-                    for (j, s) in chunk.iter_mut().enumerate() {
-                        *s = window_sum(base_w + j);
-                    }
-                });
-            }
-        });
-    }
+    });
 
     // Horner over windows, highest first.
     let mut acc = Pallas::identity();
@@ -156,7 +136,11 @@ mod tests {
                 .map(|_| g.mul(&Fq::random(&mut rng)).to_affine())
                 .collect();
             let scalars: Vec<Fq> = (0..n).map(|_| Fq::random(&mut rng)).collect();
-            assert_eq!(msm(&scalars, &bases), naive(&scalars, &bases), "n={n}");
+            assert_eq!(
+                msm_with(&scalars, &bases, Parallelism::auto()),
+                naive(&scalars, &bases),
+                "n={n}"
+            );
         }
     }
 
@@ -176,7 +160,6 @@ mod tests {
                 "threads={threads}"
             );
         }
-        assert_eq!(msm(&scalars, &bases), reference);
     }
 
     #[test]
@@ -190,13 +173,16 @@ mod tests {
         scalars[3] = Fq::ONE;
         scalars[17] = Fq::from_u64(2);
         scalars[49] = -Fq::ONE;
-        assert_eq!(msm(&scalars, &bases), naive(&scalars, &bases));
+        assert_eq!(
+            msm_with(&scalars, &bases, Parallelism::auto()),
+            naive(&scalars, &bases)
+        );
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn msm_length_mismatch_panics() {
         let g = Pallas::generator().to_affine();
-        msm(&[Fq::ONE], &[g, g]);
+        msm_with(&[Fq::ONE], &[g, g], Parallelism::auto());
     }
 }

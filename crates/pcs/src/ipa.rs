@@ -8,7 +8,7 @@
 
 use crate::params::IpaParams;
 use poneglyph_arith::{Fq, PrimeField};
-use poneglyph_curve::{msm, msm_with, Pallas, PallasAffine};
+use poneglyph_curve::{msm_with, Pallas, PallasAffine};
 use poneglyph_hash::Transcript;
 use poneglyph_par::{par_chunks_mut, par_ranges, Parallelism};
 use rand::Rng;
@@ -75,30 +75,11 @@ impl IpaProof {
 /// Open the committed polynomial `coeffs` (blinded by `blind`) at `x`.
 ///
 /// The caller must already have absorbed the commitment and the claimed
-/// evaluation into `transcript` (as the verifier will).
-pub fn open(
-    params: &IpaParams,
-    transcript: &mut Transcript,
-    coeffs: &[Fq],
-    blind: Fq,
-    x: Fq,
-    rng: &mut impl Rng,
-) -> IpaProof {
-    open_with(
-        params,
-        transcript,
-        coeffs,
-        blind,
-        x,
-        rng,
-        Parallelism::auto(),
-    )
-}
-
-/// [`open`] under an explicit thread budget: each folding round's vector
-/// updates (`a`, `b`, `G`) and cross-term inner products split across
-/// scoped workers, while transcript absorption and blinding draws stay in
-/// serial round order — the proof bytes are identical at any budget.
+/// evaluation into `transcript` (as the verifier will). Each folding
+/// round's vector updates (`a`, `b`, `G`) and cross-term inner products
+/// split across scoped workers, while transcript absorption and blinding
+/// draws stay in serial round order — the proof bytes are identical at any
+/// budget.
 pub fn open_with(
     params: &IpaParams,
     transcript: &mut Transcript,
@@ -275,7 +256,7 @@ pub fn verify(
 
     let s = s_vector(&challenges);
     let b = b_final(&challenges, x, params.k);
-    let rhs = msm(&s, &params.g)
+    let rhs = msm_with(&s, &params.g, Parallelism::auto())
         .mul(&proof.a)
         .add(&params.u.to_projective().mul(&(z * proof.a * b)))
         .add(&params.h.to_projective().mul(&proof.blind));
@@ -350,7 +331,7 @@ impl IpaAccumulator {
 
     /// Settle every accumulated claim with one MSM.
     pub fn finalize(self, params: &IpaParams) -> bool {
-        msm(&self.g_scalars, &params.g)
+        msm_with(&self.g_scalars, &params.g, Parallelism::auto())
             .add(&self.point)
             .is_identity()
     }
@@ -378,14 +359,22 @@ mod tests {
         let (params, mut rng) = setup(4);
         let coeffs: Vec<Fq> = (0..16).map(|_| Fq::random(&mut rng)).collect();
         let blind = Fq::random(&mut rng);
-        let c = params.commit(&coeffs, blind);
+        let c = params.commit_with(&coeffs, blind, Parallelism::auto());
         let x = Fq::random(&mut rng);
         let v = eval(&coeffs, x);
 
         let mut tp = Transcript::new(b"test");
         tp.absorb_bytes(b"c", &c.to_affine().to_bytes());
         tp.absorb_scalar(b"v", &v);
-        let proof = open(&params, &mut tp, &coeffs, blind, x, &mut rng);
+        let proof = open_with(
+            &params,
+            &mut tp,
+            &coeffs,
+            blind,
+            x,
+            &mut rng,
+            Parallelism::auto(),
+        );
 
         let mut tv = Transcript::new(b"test");
         tv.absorb_bytes(b"c", &c.to_affine().to_bytes());
@@ -398,14 +387,22 @@ mod tests {
         let (params, mut rng) = setup(3);
         let coeffs: Vec<Fq> = (0..8).map(|_| Fq::random(&mut rng)).collect();
         let blind = Fq::random(&mut rng);
-        let c = params.commit(&coeffs, blind);
+        let c = params.commit_with(&coeffs, blind, Parallelism::auto());
         let x = Fq::random(&mut rng);
         let v = eval(&coeffs, x);
 
         let mut tp = Transcript::new(b"test");
         tp.absorb_bytes(b"c", &c.to_affine().to_bytes());
         tp.absorb_scalar(b"v", &v);
-        let proof = open(&params, &mut tp, &coeffs, blind, x, &mut rng);
+        let proof = open_with(
+            &params,
+            &mut tp,
+            &coeffs,
+            blind,
+            x,
+            &mut rng,
+            Parallelism::auto(),
+        );
 
         // Claiming a different evaluation must fail.
         let bad_v = v + Fq::ONE;
@@ -420,14 +417,22 @@ mod tests {
         let (params, mut rng) = setup(3);
         let coeffs: Vec<Fq> = (0..8).map(|_| Fq::random(&mut rng)).collect();
         let blind = Fq::random(&mut rng);
-        let c = params.commit(&coeffs, blind);
+        let c = params.commit_with(&coeffs, blind, Parallelism::auto());
         let x = Fq::random(&mut rng);
         let v = eval(&coeffs, x);
 
         let mut tp = Transcript::new(b"test");
         tp.absorb_bytes(b"c", &c.to_affine().to_bytes());
         tp.absorb_scalar(b"v", &v);
-        let mut proof = open(&params, &mut tp, &coeffs, blind, x, &mut rng);
+        let mut proof = open_with(
+            &params,
+            &mut tp,
+            &coeffs,
+            blind,
+            x,
+            &mut rng,
+            Parallelism::auto(),
+        );
         proof.a += Fq::ONE;
 
         let mut tv = Transcript::new(b"test");
@@ -441,16 +446,24 @@ mod tests {
         let (params, mut rng) = setup(3);
         let coeffs: Vec<Fq> = (0..8).map(|_| Fq::random(&mut rng)).collect();
         let blind = Fq::random(&mut rng);
-        let c = params.commit(&coeffs, blind);
+        let c = params.commit_with(&coeffs, blind, Parallelism::auto());
         let x = Fq::random(&mut rng);
         let v = eval(&coeffs, x);
 
         let mut tp = Transcript::new(b"test");
         tp.absorb_bytes(b"c", &c.to_affine().to_bytes());
         tp.absorb_scalar(b"v", &v);
-        let proof = open(&params, &mut tp, &coeffs, blind, x, &mut rng);
+        let proof = open_with(
+            &params,
+            &mut tp,
+            &coeffs,
+            blind,
+            x,
+            &mut rng,
+            Parallelism::auto(),
+        );
 
-        let other = params.commit(&coeffs, blind + Fq::ONE);
+        let other = params.commit_with(&coeffs, blind + Fq::ONE, Parallelism::auto());
         let mut tv = Transcript::new(b"test");
         tv.absorb_bytes(b"c", &c.to_affine().to_bytes());
         tv.absorb_scalar(b"v", &v);
@@ -462,11 +475,19 @@ mod tests {
         let (params, mut rng) = setup(4);
         let coeffs: Vec<Fq> = (0..5).map(|_| Fq::random(&mut rng)).collect();
         let blind = Fq::random(&mut rng);
-        let c = params.commit(&coeffs, blind);
+        let c = params.commit_with(&coeffs, blind, Parallelism::auto());
         let x = Fq::random(&mut rng);
         let v = eval(&coeffs, x);
         let mut tp = Transcript::new(b"t");
-        let proof = open(&params, &mut tp, &coeffs, blind, x, &mut rng);
+        let proof = open_with(
+            &params,
+            &mut tp,
+            &coeffs,
+            blind,
+            x,
+            &mut rng,
+            Parallelism::auto(),
+        );
         let mut tv = Transcript::new(b"t");
         assert!(verify(&params, &mut tv, &c, x, v, &proof));
     }
@@ -478,7 +499,15 @@ mod tests {
         let blind = Fq::random(&mut rng);
         let x = Fq::random(&mut rng);
         let mut tp = Transcript::new(b"t");
-        let proof = open(&params, &mut tp, &coeffs, blind, x, &mut rng);
+        let proof = open_with(
+            &params,
+            &mut tp,
+            &coeffs,
+            blind,
+            x,
+            &mut rng,
+            Parallelism::auto(),
+        );
         let bytes = proof.to_bytes();
         assert_eq!(bytes.len(), proof.size_in_bytes() + 8);
         assert_eq!(IpaProof::from_bytes(&bytes), Some(proof));
@@ -492,12 +521,20 @@ mod tests {
         for _ in 0..4 {
             let coeffs: Vec<Fq> = (0..8).map(|_| Fq::random(&mut rng)).collect();
             let blind = Fq::random(&mut rng);
-            let c = params.commit(&coeffs, blind);
+            let c = params.commit_with(&coeffs, blind, Parallelism::auto());
             let x = Fq::random(&mut rng);
             let v = eval(&coeffs, x);
             let mut tp = Transcript::new(b"t");
             tp.absorb_scalar(b"v", &v);
-            let proof = open(&params, &mut tp, &coeffs, blind, x, &mut rng);
+            let proof = open_with(
+                &params,
+                &mut tp,
+                &coeffs,
+                blind,
+                x,
+                &mut rng,
+                Parallelism::auto(),
+            );
             claims.push((c, x, v, proof));
         }
         let mut acc = IpaAccumulator::new(&params, Fq::random(&mut rng));

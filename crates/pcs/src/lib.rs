@@ -11,5 +11,5 @@
 mod ipa;
 mod params;
 
-pub use ipa::{open, open_with, verify, IpaAccumulator, IpaProof};
+pub use ipa::{open_with, verify, IpaAccumulator, IpaProof};
 pub use params::IpaParams;

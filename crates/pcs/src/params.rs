@@ -7,7 +7,7 @@
 
 use poneglyph_arith::{Fq, PrimeField};
 use poneglyph_curve::{hash_to_curve, msm_with, Pallas, PallasAffine};
-use poneglyph_par::Parallelism;
+use poneglyph_par::{par_chunks_mut, Parallelism};
 
 /// Public parameters supporting commitments to vectors of up to `2^k`
 /// scalars.
@@ -33,17 +33,9 @@ impl IpaParams {
     pub fn setup(k: u32) -> Self {
         let n = 1usize << k;
         let mut g = vec![PallasAffine::identity(); n];
-        let workers = std::thread::available_parallelism()
-            .map(|v| v.get())
-            .unwrap_or(1);
-        let chunk = n.div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (ci, slot) in g.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || {
-                    for (j, p) in slot.iter_mut().enumerate() {
-                        *p = hash_to_curve(b"poneglyph-ipa-g", (ci * chunk + j) as u64);
-                    }
-                });
+        par_chunks_mut(Parallelism::auto(), &mut g, 1, |offset, slot| {
+            for (j, p) in slot.iter_mut().enumerate() {
+                *p = hash_to_curve(b"poneglyph-ipa-g", (offset + j) as u64);
             }
         });
         let h = hash_to_curve(b"poneglyph-ipa-h", 0);
@@ -52,15 +44,10 @@ impl IpaParams {
     }
 
     /// Pedersen commitment to a coefficient vector with an explicit blind:
-    /// `C = <coeffs, G> + blind·H`.
+    /// `C = <coeffs, G> + blind·H`, under an explicit thread budget for the
+    /// underlying MSM (identical result at any budget).
     ///
     /// Panics if `coeffs.len() > n`.
-    pub fn commit(&self, coeffs: &[Fq], blind: Fq) -> Pallas {
-        self.commit_with(coeffs, blind, Parallelism::auto())
-    }
-
-    /// [`commit`](Self::commit) under an explicit thread budget for the
-    /// underlying MSM (identical result at any budget).
     pub fn commit_with(&self, coeffs: &[Fq], blind: Fq, par: Parallelism) -> Pallas {
         assert!(
             coeffs.len() <= self.n,
@@ -118,9 +105,9 @@ mod tests {
         let b: Vec<Fq> = (0..8).map(|_| Fq::random(&mut rng)).collect();
         let sum: Vec<Fq> = a.iter().zip(&b).map(|(x, y)| *x + *y).collect();
         let (ra, rb) = (Fq::random(&mut rng), Fq::random(&mut rng));
-        let ca = params.commit(&a, ra);
-        let cb = params.commit(&b, rb);
-        let csum = params.commit(&sum, ra + rb);
+        let ca = params.commit_with(&a, ra, Parallelism::auto());
+        let cb = params.commit_with(&b, rb, Parallelism::auto());
+        let csum = params.commit_with(&sum, ra + rb, Parallelism::auto());
         assert_eq!(ca.add(&cb), csum);
     }
 
@@ -128,8 +115,8 @@ mod tests {
     fn blind_hides() {
         let params = IpaParams::setup(3);
         let a = vec![Fq::ONE; 8];
-        let c1 = params.commit(&a, Fq::from_u64(1));
-        let c2 = params.commit(&a, Fq::from_u64(2));
+        let c1 = params.commit_with(&a, Fq::from_u64(1), Parallelism::auto());
+        let c2 = params.commit_with(&a, Fq::from_u64(2), Parallelism::auto());
         assert_ne!(c1, c2);
     }
 
@@ -140,6 +127,9 @@ mod tests {
         assert_eq!(t.n, 4);
         assert_eq!(&t.g[..], &p.g[..4]);
         let coeffs = vec![Fq::from_u64(3); 4];
-        assert_eq!(t.commit(&coeffs, Fq::ZERO), p.commit(&coeffs, Fq::ZERO));
+        assert_eq!(
+            t.commit_with(&coeffs, Fq::ZERO, Parallelism::auto()),
+            p.commit_with(&coeffs, Fq::ZERO, Parallelism::auto())
+        );
     }
 }

@@ -199,6 +199,7 @@ mod tests {
     use super::*;
     use crate::expression::Rotation;
     use poneglyph_arith::PrimeField;
+    use poneglyph_par::Parallelism;
     use poneglyph_poly::EvaluationDomain;
 
     #[test]
@@ -236,10 +237,11 @@ mod tests {
 
         // extended evaluation must match evaluating the composed coefficient
         // polynomials at coset points
-        let f_poly = domain.lagrange_to_coeff(fixed[0].clone());
-        let a_poly = domain.lagrange_to_coeff(advice[0].clone());
-        let fixed_cosets = vec![domain.coeff_to_extended(&f_poly)];
-        let advice_cosets = vec![domain.coeff_to_extended(&a_poly)];
+        let serial = Parallelism::serial();
+        let f_poly = domain.lagrange_to_coeff_with(fixed[0].clone(), serial);
+        let a_poly = domain.lagrange_to_coeff_with(advice[0].clone(), serial);
+        let fixed_cosets = vec![domain.coeff_to_extended_with(&f_poly, serial)];
+        let advice_cosets = vec![domain.coeff_to_extended_with(&a_poly, serial)];
         let id = identity_coset(&domain);
         let ext = eval_extended(
             &expr,

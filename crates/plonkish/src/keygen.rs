@@ -131,7 +131,7 @@ impl Dsu {
 /// aggregate across the whole process.
 ///
 /// Tests use the counters to assert *which* keygen path ran — e.g. that
-/// the verifier never materializes prover-only tables (no [`keygen_pk`]
+/// the verifier never materializes prover-only tables (no [`keygen_pk_with`]
 /// call) and that a session caches keys instead of regenerating them. The
 /// counters are monotonic and process-global; assert on deltas from a
 /// single-test binary, not absolute values.
@@ -144,7 +144,7 @@ pub mod instrument {
         obs::global().counter("poneglyph_keygens_total", &[("kind", kind)], KEYGEN_HELP)
     }
 
-    /// Total nanoseconds every [`prove`](crate::prove) call in this
+    /// Total nanoseconds every [`prove_timed`](crate::prove_timed) call in this
     /// process has spent in the *commit* stage (witness interpolation,
     /// lookup construction, grand products, and all pre-quotient
     /// commitments).
@@ -171,13 +171,13 @@ pub mod instrument {
         obs::record_span("prove.open", open);
     }
 
-    /// Number of [`keygen_vk`](super::keygen_vk) calls so far (verifier-side
+    /// Number of [`keygen_vk_with`](super::keygen_vk_with) calls so far (verifier-side
     /// key generations that skip the prover-only tables).
     pub fn vk_keygens() -> u64 {
         keygen_counter("vk").get()
     }
 
-    /// Number of [`keygen_pk`](super::keygen_pk) calls so far — i.e. how
+    /// Number of [`keygen_pk_with`](super::keygen_pk_with) calls so far — i.e. how
     /// many times the prover-only tables (extended cosets, σ/fixed
     /// polynomials) were materialized.
     pub fn pk_keygens() -> u64 {
@@ -194,8 +194,8 @@ pub mod instrument {
 }
 
 /// Everything both keys need: the domain, the fixed/σ polynomials in
-/// coefficient and Lagrange form, and their commitments. [`keygen_vk`]
-/// keeps only the commitments; [`keygen_pk`] additionally extends the
+/// coefficient and Lagrange form, and their commitments. [`keygen_vk_with`]
+/// keeps only the commitments; [`keygen_pk_with`] additionally extends the
 /// polynomials over the coset (the prover-only tables).
 struct KeygenTables {
     domain: EvaluationDomain<Fq>,
@@ -314,17 +314,8 @@ fn build_tables(
 /// and then *dropped* — none of the prover-only tables (extended cosets,
 /// indicator cosets, retained polynomial forms) are materialized, so a
 /// verifier re-deriving keys per query pays roughly half the FFT work and
-/// a fraction of the memory of a full [`keygen_pk`].
-pub fn keygen_vk(
-    params: &IpaParams,
-    cs: &ConstraintSystem<Fq>,
-    asn: &Assignment<Fq>,
-) -> VerifyingKey {
-    keygen_vk_with(params, cs, asn, Parallelism::auto())
-}
-
-/// [`keygen_vk`] under an explicit thread budget (identical key at any
-/// budget).
+/// a fraction of the memory of a full [`keygen_pk_with`]. The key is
+/// identical at any thread budget.
 pub fn keygen_vk_with(
     params: &IpaParams,
     cs: &ConstraintSystem<Fq>,
@@ -338,18 +329,9 @@ pub fn keygen_vk_with(
 
 /// Generate the full proving key (verifying key embedded) from a circuit
 /// shape and a representative assignment (fixed columns and copy
-/// constraints must be identical at proving time).
-pub fn keygen_pk(
-    params: &IpaParams,
-    cs: &ConstraintSystem<Fq>,
-    asn: &Assignment<Fq>,
-) -> ProvingKey {
-    keygen_pk_with(params, cs, asn, Parallelism::auto())
-}
-
-/// [`keygen_pk`] under an explicit thread budget: the fixed/σ
+/// constraints must be identical at proving time). The fixed/σ
 /// interpolations, their commitments and every extended-coset table are
-/// computed on scoped workers. The key is identical at any budget.
+/// computed on scoped workers; the key is identical at any budget.
 pub fn keygen_pk_with(
     params: &IpaParams,
     cs: &ConstraintSystem<Fq>,
@@ -412,12 +394,6 @@ pub fn keygen_pk_with(
     }
 }
 
-/// Generate proving and verifying keys — an alias for [`keygen_pk`], kept
-/// for callers that predate the `keygen_vk`/`keygen_pk` split.
-pub fn keygen(params: &IpaParams, cs: &ConstraintSystem<Fq>, asn: &Assignment<Fq>) -> ProvingKey {
-    keygen_pk(params, cs, asn)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,7 +407,7 @@ mod tests {
         let a = cs.advice_column();
         cs.enable_permutation(a);
         let asn = Assignment::new(&cs, 4);
-        let pk = keygen(&params, &cs, &asn);
+        let pk = keygen_pk_with(&params, &cs, &asn, Parallelism::auto());
         let n = pk.vk.domain.n;
         for r in 0..n {
             assert_eq!(pk.sigma_values[0][r], pk.vk.domain.rotate_omega(r as i32));
@@ -450,7 +426,7 @@ mod tests {
         asn.copy(Cell { column: a, row: 1 }, Cell { column: b, row: 2 });
         // duplicate copies must not split the cycle
         asn.copy(Cell { column: a, row: 1 }, Cell { column: b, row: 2 });
-        let pk = keygen(&params, &cs, &asn);
+        let pk = keygen_pk_with(&params, &cs, &asn, Parallelism::auto());
         let k1 = VerifyingKey::coset_multiplier(0);
         let k2 = VerifyingKey::coset_multiplier(1);
         let w = pk.vk.domain.omega;
@@ -467,7 +443,7 @@ mod tests {
         let mut cs = ConstraintSystem::<Fq>::new();
         cs.advice_column();
         let asn = Assignment::new(&cs, 3);
-        let pk = keygen(&params, &cs, &asn);
+        let pk = keygen_pk_with(&params, &cs, &asn, Parallelism::auto());
         let domain = &pk.vk.domain;
         let x = Fq::from_u64(0xabcdef);
         for i in [0usize, 1, 5] {
@@ -494,7 +470,7 @@ mod tests {
         cs.enable_permutation(a);
         let mut asn = Assignment::new(&cs, 3);
         asn.copy(Cell { column: a, row: 0 }, Cell { column: b, row: 0 });
-        keygen(&params, &cs, &asn);
+        keygen_pk_with(&params, &cs, &asn, Parallelism::auto());
     }
 
     #[test]
@@ -514,8 +490,8 @@ mod tests {
         let mut asn = Assignment::new(&cs, 4);
         asn.assign_fixed(f, 0, Fq::from_u64(7));
         asn.copy(Cell { column: a, row: 1 }, Cell { column: b, row: 2 });
-        let vk = keygen_vk(&params, &cs, &asn);
-        let pk = keygen_pk(&params, &cs, &asn);
+        let vk = keygen_vk_with(&params, &cs, &asn, Parallelism::auto());
+        let pk = keygen_pk_with(&params, &cs, &asn, Parallelism::auto());
         assert_eq!(vk.fixed_commitments, pk.vk.fixed_commitments);
         assert_eq!(vk.sigma_commitments, pk.vk.sigma_commitments);
         assert_eq!(vk.usable_rows, pk.vk.usable_rows);
@@ -532,9 +508,9 @@ mod tests {
         cs.advice_column();
         let asn = Assignment::new(&cs, 3);
         let (vk0, pk0) = (instrument::vk_keygens(), instrument::pk_keygens());
-        let _vk = keygen_vk(&params, &cs, &asn);
+        let _vk = keygen_vk_with(&params, &cs, &asn, Parallelism::auto());
         assert!(instrument::vk_keygens() > vk0);
-        let _pk = keygen_pk(&params, &cs, &asn);
+        let _pk = keygen_pk_with(&params, &cs, &asn, Parallelism::auto());
         assert!(instrument::pk_keygens() > pk0);
     }
 }

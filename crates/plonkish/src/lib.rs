@@ -11,9 +11,10 @@
 //!
 //! The crate exposes:
 //! * [`ConstraintSystem`] / [`Assignment`] — circuit shape and contents,
-//! * [`keygen_pk`] / [`keygen_vk`] → [`ProvingKey`] / [`VerifyingKey`]
-//!   (the verifier-side path never materializes prover-only tables),
-//! * [`prove`] / [`verify`] — the non-interactive argument, plus
+//! * [`keygen_pk_with`] / [`keygen_vk_with`] → [`ProvingKey`] /
+//!   [`VerifyingKey`] (the verifier-side path never materializes
+//!   prover-only tables),
+//! * [`prove_timed`] / [`verify`] — the non-interactive argument, plus
 //!   [`verify_accumulate`] which defers the IPA opening checks into an
 //!   [`IpaAccumulator`](poneglyph_pcs::IpaAccumulator) so a batch of
 //!   proofs settles with one MSM,
@@ -38,19 +39,17 @@ pub use eval::{
     CosetSource, RowSource,
 };
 pub use expression::{Column, ColumnKind, Expression, Query, Rotation};
-pub use keygen::{
-    instrument, keygen, keygen_pk, keygen_pk_with, keygen_vk, keygen_vk_with, ProvingKey,
-    VerifyingKey,
-};
+pub use keygen::{instrument, keygen_pk_with, keygen_vk_with, ProvingKey, VerifyingKey};
 pub use mock::{mock_prove, MockError, MOCK_ERRORS_PER_CLASS};
 pub use proof::{open_schedule, PolyId, Proof};
-pub use prover::{prove, prove_timed, prove_with, ProveError, ProverTimings};
+pub use prover::{prove_timed, ProveError, ProverTimings};
 pub use verifier::{verify, verify_accumulate, VerifyError};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use poneglyph_arith::{Fq, PrimeField};
+    use poneglyph_par::Parallelism;
     use poneglyph_pcs::IpaParams;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -247,9 +246,11 @@ mod tests {
         let params = IpaParams::setup(k);
         let asn = toy_assignment(&toy, k, 8, None);
         mock_prove(&toy.cs, &asn).expect("valid");
-        let pk = keygen(&params, &toy.cs, &asn);
+        let pk = keygen_pk_with(&params, &toy.cs, &asn, Parallelism::auto());
         let instance = vec![asn.instance[0][..1].to_vec()];
-        let proof = prove(&params, &pk, asn, &mut rng).expect("prover");
+        let proof = prove_timed(&params, &pk, asn, &mut rng, Parallelism::auto())
+            .expect("prover")
+            .0;
         verify(&params, &pk.vk, &instance, &proof).expect("verifier");
 
         // serialization roundtrip
@@ -261,7 +262,6 @@ mod tests {
 
     #[test]
     fn proof_bytes_identical_at_every_thread_count() {
-        use poneglyph_par::Parallelism;
         let toy = toy_cs();
         let k = 5;
         let params = IpaParams::setup(k);
@@ -271,7 +271,7 @@ mod tests {
             &toy_assignment(&toy, k, 8, None),
             Parallelism::serial(),
         );
-        let reference = prove_with(
+        let reference = prove_timed(
             &params,
             &reference_pk,
             toy_assignment(&toy, k, 8, None),
@@ -279,6 +279,7 @@ mod tests {
             Parallelism::serial(),
         )
         .expect("serial prove")
+        .0
         .to_bytes();
         for threads in [2usize, 3, 8] {
             let par = Parallelism::new(threads);
@@ -287,14 +288,15 @@ mod tests {
                 pk.vk.fixed_commitments, reference_pk.vk.fixed_commitments,
                 "keygen at {threads} threads"
             );
-            let proof = prove_with(
+            let proof = prove_timed(
                 &params,
                 &pk,
                 toy_assignment(&toy, k, 8, None),
                 &mut StdRng::seed_from_u64(4242),
                 par,
             )
-            .expect("parallel prove");
+            .expect("parallel prove")
+            .0;
             assert_eq!(
                 proof.to_bytes(),
                 reference,
@@ -310,7 +312,7 @@ mod tests {
         let k = 5;
         let params = IpaParams::setup(k);
         let asn = toy_assignment(&toy, k, 8, None);
-        let pk = keygen(&params, &toy.cs, &asn);
+        let pk = keygen_pk_with(&params, &toy.cs, &asn, Parallelism::auto());
         let instance = vec![asn.instance[0][..1].to_vec()];
         let before = (
             instrument::commit_nanos(),
@@ -342,9 +344,11 @@ mod tests {
         let k = 5;
         let params = IpaParams::setup(k);
         let asn = toy_assignment(&toy, k, 8, None);
-        let pk = keygen(&params, &toy.cs, &asn);
+        let pk = keygen_pk_with(&params, &toy.cs, &asn, Parallelism::auto());
         let mut instance = vec![asn.instance[0][..1].to_vec()];
-        let proof = prove(&params, &pk, asn, &mut rng).expect("prover");
+        let proof = prove_timed(&params, &pk, asn, &mut rng, Parallelism::auto())
+            .expect("prover")
+            .0;
         instance[0][0] += Fq::ONE;
         assert!(verify(&params, &pk.vk, &instance, &proof).is_err());
     }
@@ -356,9 +360,11 @@ mod tests {
         let k = 5;
         let params = IpaParams::setup(k);
         let asn = toy_assignment(&toy, k, 8, None);
-        let pk = keygen(&params, &toy.cs, &asn);
+        let pk = keygen_pk_with(&params, &toy.cs, &asn, Parallelism::auto());
         let instance = vec![asn.instance[0][..1].to_vec()];
-        let mut proof = prove(&params, &pk, asn, &mut rng).expect("prover");
+        let mut proof = prove_timed(&params, &pk, asn, &mut rng, Parallelism::auto())
+            .expect("prover")
+            .0;
         // replace an advice commitment with a random point
         proof.advice_commitments[0] = poneglyph_curve::Pallas::generator()
             .mul(&Fq::from_u64(7))
@@ -373,9 +379,11 @@ mod tests {
         let k = 5;
         let params = IpaParams::setup(k);
         let asn = toy_assignment(&toy, k, 8, None);
-        let pk = keygen(&params, &toy.cs, &asn);
+        let pk = keygen_pk_with(&params, &toy.cs, &asn, Parallelism::auto());
         let instance = vec![asn.instance[0][..1].to_vec()];
-        let mut proof = prove(&params, &pk, asn, &mut rng).expect("prover");
+        let mut proof = prove_timed(&params, &pk, asn, &mut rng, Parallelism::auto())
+            .expect("prover")
+            .0;
         proof.evals[0] += Fq::ONE;
         assert!(verify(&params, &pk.vk, &instance, &proof).is_err());
     }
@@ -387,7 +395,7 @@ mod tests {
         let k = 5;
         let params = IpaParams::setup(k);
         let good = toy_assignment(&toy, k, 8, None);
-        let pk = keygen(&params, &toy.cs, &good);
+        let pk = keygen_pk_with(&params, &toy.cs, &good, Parallelism::auto());
         let instance = vec![good.instance[0][..1].to_vec()];
 
         // gate violation: proving "succeeds" (the prover is not a validator)
@@ -395,13 +403,13 @@ mod tests {
         let bad = toy_assignment(&toy, k, 8, Some("gate"));
         // an Err from prove is also acceptable: the prover noticed the
         // inconsistency itself.
-        if let Ok(proof) = prove(&params, &pk, bad, &mut rng) {
+        if let Ok((proof, _)) = prove_timed(&params, &pk, bad, &mut rng, Parallelism::auto()) {
             assert!(verify(&params, &pk.vk, &instance, &proof).is_err());
         }
 
         // lookup violation is detected during proving
         let bad = toy_assignment(&toy, k, 8, Some("lookup"));
-        let res = prove(&params, &pk, bad, &mut rng);
+        let res = prove_timed(&params, &pk, bad, &mut rng, Parallelism::auto());
         assert!(matches!(res, Err(ProveError::LookupValueMissing { .. })));
     }
 
@@ -416,9 +424,11 @@ mod tests {
         let mut proofs = Vec::new();
         for _ in 0..2 {
             let asn = toy_assignment(&toy, k, 8, None);
-            let pk = keygen(&params, &toy.cs, &asn);
+            let pk = keygen_pk_with(&params, &toy.cs, &asn, Parallelism::auto());
             let instance = vec![asn.instance[0][..1].to_vec()];
-            let proof = prove(&params, &pk, asn, &mut rng).expect("prover");
+            let proof = prove_timed(&params, &pk, asn, &mut rng, Parallelism::auto())
+                .expect("prover")
+                .0;
             proofs.push((pk.vk, instance, proof));
         }
 
@@ -449,8 +459,10 @@ mod tests {
         let k = 5;
         let params = IpaParams::setup(k);
         let asn = toy_assignment(&toy, k, 8, None);
-        let pk = keygen(&params, &toy.cs, &asn);
-        let proof = prove(&params, &pk, asn, &mut rng).expect("prover");
+        let pk = keygen_pk_with(&params, &toy.cs, &asn, Parallelism::auto());
+        let proof = prove_timed(&params, &pk, asn, &mut rng, Parallelism::auto())
+            .expect("prover")
+            .0;
         // tiny circuit: proof should be a few KB, far below the witness size
         assert!(proof.size_in_bytes() < 40_000, "{}", proof.size_in_bytes());
     }

@@ -220,35 +220,13 @@ fn build_lookup(
     })
 }
 
-/// Generate a proof for `asn` under `pk`, with the auto-detected thread
-/// budget.
+/// Generate a proof for `asn` under `pk` within the thread budget `par`,
+/// returning it with the per-stage wall-clock breakdown (also accumulated
+/// into the process-wide [`instrument`] counters). The proof bytes are
+/// identical at every budget (see the module docs for why).
 ///
 /// The instance columns inside `asn` are the public inputs; the verifier
 /// must be given the same values.
-pub fn prove(
-    params: &IpaParams,
-    pk: &ProvingKey,
-    asn: Assignment<Fq>,
-    rng: &mut impl Rng,
-) -> Result<Proof, ProveError> {
-    prove_with(params, pk, asn, rng, Parallelism::auto())
-}
-
-/// [`prove`] under an explicit thread budget. The proof bytes are
-/// identical at every budget (see the module docs for why).
-pub fn prove_with(
-    params: &IpaParams,
-    pk: &ProvingKey,
-    asn: Assignment<Fq>,
-    rng: &mut impl Rng,
-    par: Parallelism,
-) -> Result<Proof, ProveError> {
-    prove_timed(params, pk, asn, rng, par).map(|(proof, _)| proof)
-}
-
-/// [`prove_with`], additionally returning the per-stage wall-clock
-/// breakdown (also accumulated into the process-wide [`instrument`]
-/// counters).
 pub fn prove_timed(
     params: &IpaParams,
     pk: &ProvingKey,

@@ -2,7 +2,7 @@
 //! over which circuit columns are interpolated, plus the extended coset
 //! domain used for quotient-polynomial computation.
 
-use crate::fft::{fft, fft_with, ifft, ifft_with};
+use crate::fft::{fft, fft_with, ifft_with};
 use crate::Polynomial;
 use poneglyph_arith::PrimeField;
 use poneglyph_par::{par_chunks_mut, Parallelism};
@@ -89,15 +89,8 @@ impl<F: PrimeField> EvaluationDomain<F> {
         }
     }
 
-    /// Interpolate Lagrange values over `H` into a coefficient polynomial.
-    pub fn lagrange_to_coeff(&self, mut values: Vec<F>) -> Polynomial<F> {
-        assert_eq!(values.len(), self.n);
-        ifft(&mut values, self.omega_inv, self.n_inv);
-        Polynomial { coeffs: values }
-    }
-
-    /// [`lagrange_to_coeff`](Self::lagrange_to_coeff) under an explicit
-    /// thread budget (identical output at any budget).
+    /// Interpolate Lagrange values over `H` into a coefficient polynomial
+    /// (identical output at any thread budget).
     pub fn lagrange_to_coeff_with(&self, mut values: Vec<F>, par: Parallelism) -> Polynomial<F> {
         assert_eq!(values.len(), self.n);
         ifft_with(&mut values, self.omega_inv, self.n_inv, par);
@@ -116,14 +109,9 @@ impl<F: PrimeField> EvaluationDomain<F> {
         values
     }
 
-    /// Evaluate a coefficient polynomial over the extended coset `g·H'`.
-    pub fn coeff_to_extended(&self, poly: &Polynomial<F>) -> Vec<F> {
-        self.coeff_to_extended_with(poly, Parallelism::serial())
-    }
-
-    /// [`coeff_to_extended`](Self::coeff_to_extended) under an explicit
-    /// thread budget: the coset scaling pass and the extended FFT both
-    /// split across scoped workers (identical output at any budget).
+    /// Evaluate a coefficient polynomial over the extended coset `g·H'`:
+    /// the coset scaling pass and the extended FFT both split across
+    /// scoped workers (identical output at any thread budget).
     pub fn coeff_to_extended_with(&self, poly: &Polynomial<F>, par: Parallelism) -> Vec<F> {
         assert!(poly.coeffs.len() <= self.extended_n);
         let mut values = poly.coeffs.clone();
@@ -142,13 +130,8 @@ impl<F: PrimeField> EvaluationDomain<F> {
         values
     }
 
-    /// Interpolate extended-coset evaluations back to coefficients.
-    pub fn extended_to_coeff(&self, values: Vec<F>) -> Polynomial<F> {
-        self.extended_to_coeff_with(values, Parallelism::serial())
-    }
-
-    /// [`extended_to_coeff`](Self::extended_to_coeff) under an explicit
-    /// thread budget (identical output at any budget).
+    /// Interpolate extended-coset evaluations back to coefficients
+    /// (identical output at any thread budget).
     pub fn extended_to_coeff_with(&self, mut values: Vec<F>, par: Parallelism) -> Polynomial<F> {
         assert_eq!(values.len(), self.extended_n);
         ifft_with(
@@ -251,7 +234,7 @@ mod tests {
     fn lagrange_coeff_roundtrip() {
         let d = EvaluationDomain::<Fq>::new(5, 4);
         let values = rand_values(d.n, 1);
-        let poly = d.lagrange_to_coeff(values.clone());
+        let poly = d.lagrange_to_coeff_with(values.clone(), Parallelism::serial());
         assert_eq!(d.coeff_to_lagrange(&poly), values);
     }
 
@@ -259,9 +242,10 @@ mod tests {
     fn extended_roundtrip() {
         let d = EvaluationDomain::<Fq>::new(4, 4);
         let values = rand_values(d.n, 2);
-        let poly = d.lagrange_to_coeff(values);
-        let ext = d.coeff_to_extended(&poly);
-        let back = d.extended_to_coeff(ext);
+        let serial = Parallelism::serial();
+        let poly = d.lagrange_to_coeff_with(values, serial);
+        let ext = d.coeff_to_extended_with(&poly, serial);
+        let back = d.extended_to_coeff_with(ext, serial);
         // high coefficients must be zero
         for c in &back.coeffs[d.n..] {
             assert_eq!(*c, Fq::ZERO);
@@ -274,9 +258,9 @@ mod tests {
         // k chosen so the extended domain crosses the parallel threshold.
         let d = EvaluationDomain::<Fq>::new(10, 4);
         let values = rand_values(d.n, 9);
-        let serial_poly = d.lagrange_to_coeff(values.clone());
-        let serial_ext = d.coeff_to_extended(&serial_poly);
-        for threads in [1usize, 2, 3, 8] {
+        let serial_poly = d.lagrange_to_coeff_with(values.clone(), Parallelism::serial());
+        let serial_ext = d.coeff_to_extended_with(&serial_poly, Parallelism::serial());
+        for threads in [2usize, 3, 8] {
             let par = Parallelism::new(threads);
             let poly = d.lagrange_to_coeff_with(values.clone(), par);
             assert_eq!(poly, serial_poly, "interpolation, threads={threads}");
@@ -308,7 +292,7 @@ mod tests {
     fn barycentric_matches_horner() {
         let d = EvaluationDomain::<Fq>::new(4, 4);
         let values = rand_values(d.n, 3);
-        let poly = d.lagrange_to_coeff(values.clone());
+        let poly = d.lagrange_to_coeff_with(values.clone(), Parallelism::serial());
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..5 {
             let x = Fq::random(&mut rng);

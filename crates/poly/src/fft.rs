@@ -1,12 +1,11 @@
 //! In-place radix-2 Cooley–Tukey FFT over a prime field with high 2-adicity.
 //!
-//! Two entry points: the serial [`fft`]/[`ifft`] primitives, and
-//! [`fft_with`]/[`ifft_with`] which split a large transform into
-//! `2^log_w` interleaved sub-transforms computed on scoped worker threads
-//! (the classic `bellman`/`halo2` decomposition). The parallel form
-//! computes exactly the same field values — the DFT is a fixed function of
-//! its input — so callers may mix thread counts freely without affecting
-//! any downstream bytes.
+//! [`fft_with`]/[`ifft_with`] split a large transform into `2^log_w`
+//! interleaved sub-transforms computed on scoped worker threads (the
+//! classic `bellman`/`halo2` decomposition), each running the serial
+//! kernel. The parallel form computes exactly the same field values — the
+//! DFT is a fixed function of its input — so callers may mix thread counts
+//! freely without affecting any downstream bytes.
 
 use poneglyph_arith::PrimeField;
 use poneglyph_par::{par_chunks_mut, Parallelism};
@@ -44,9 +43,9 @@ fn bit_reverse<F>(a: &mut [F]) {
     }
 }
 
-/// In-place forward FFT: interprets `a` as coefficients and replaces it with
+/// The serial kernel: interprets `a` as coefficients and replaces it with
 /// evaluations at successive powers of `omega` (an `n`-th root of unity).
-pub fn fft<F: PrimeField>(a: &mut [F], omega: F) {
+pub(crate) fn fft<F: PrimeField>(a: &mut [F], omega: F) {
     let n = a.len();
     assert!(n.is_power_of_two(), "fft length must be a power of two");
     if n == 1 {
@@ -80,17 +79,9 @@ pub fn fft<F: PrimeField>(a: &mut [F], omega: F) {
     }
 }
 
-/// In-place inverse FFT (requires `omega_inv` and `1/n`).
-pub fn ifft<F: PrimeField>(a: &mut [F], omega_inv: F, n_inv: F) {
-    fft(a, omega_inv);
-    for v in a.iter_mut() {
-        *v *= n_inv;
-    }
-}
-
-/// [`fft`] under an explicit thread budget.
+/// In-place forward FFT under an explicit thread budget.
 ///
-/// With a serial budget (or a small transform) this is exactly [`fft`];
+/// With a serial budget (or a small transform) this is the serial kernel;
 /// otherwise the transform is decomposed into `w = 2^log_w` sub-transforms
 /// of size `n/w` — worker `j` gathers the twiddle-weighted residue class
 /// `Σ_s a[i + s·(n/w)]·ω^{j(i + s·(n/w))}`, runs a serial sub-FFT over it,
@@ -113,25 +104,24 @@ pub fn fft_with<F: PrimeField>(a: &mut [F], omega: F, par: Parallelism) {
     let new_omega = omega.pow(&[w as u64, 0, 0, 0]);
 
     let mut tmp = vec![vec![F::ZERO; sub_n]; w];
-    std::thread::scope(|scope| {
-        let a = &*a;
-        for (j, tmp) in tmp.iter_mut().enumerate() {
-            scope.spawn(move || {
-                // Gather residue class j, weighted so the sub-FFT of size
-                // n/w lands on every w-th output of the full transform.
-                let omega_j = omega.pow(&[j as u64, 0, 0, 0]);
-                let omega_step = omega.pow(&[(j as u64) << log_sub_n, 0, 0, 0]);
-                let mut elt = F::ONE;
-                for (i, t) in tmp.iter_mut().enumerate() {
-                    for s in 0..w {
-                        let idx = (i + (s << log_sub_n)) & (a.len() - 1);
-                        *t += a[idx] * elt;
-                        elt *= omega_step;
-                    }
-                    elt *= omega_j;
+    // `w <= par.threads()`, so each worker gets exactly one sub-transform.
+    let input = &*a;
+    par_chunks_mut(par, &mut tmp, 1, |first, subs| {
+        for (j, tmp) in (first..).zip(subs) {
+            // Gather residue class j, weighted so the sub-FFT of size
+            // n/w lands on every w-th output of the full transform.
+            let omega_j = omega.pow(&[j as u64, 0, 0, 0]);
+            let omega_step = omega.pow(&[(j as u64) << log_sub_n, 0, 0, 0]);
+            let mut elt = F::ONE;
+            for (i, t) in tmp.iter_mut().enumerate() {
+                for s in 0..w {
+                    let idx = (i + (s << log_sub_n)) & (n - 1);
+                    *t += input[idx] * elt;
+                    elt *= omega_step;
                 }
-                fft(tmp, new_omega);
-            });
+                elt *= omega_j;
+            }
+            fft(tmp, new_omega);
         }
     });
 
@@ -145,7 +135,8 @@ pub fn fft_with<F: PrimeField>(a: &mut [F], omega: F, par: Parallelism) {
     });
 }
 
-/// [`ifft`] under an explicit thread budget.
+/// In-place inverse FFT (requires `omega_inv` and `1/n`) under an explicit
+/// thread budget.
 pub fn ifft_with<F: PrimeField>(a: &mut [F], omega_inv: F, n_inv: F, par: Parallelism) {
     fft_with(a, omega_inv, par);
     par_chunks_mut(par, a, MIN_PARALLEL_N, |_, chunk| {
@@ -223,8 +214,8 @@ mod tests {
                 .map(|i| Fq::from_u64(i.wrapping_mul(0x9e37) ^ 0x123))
                 .collect();
             let mut work = coeffs.clone();
-            fft(&mut work, omega);
-            ifft(&mut work, omega_inv, n_inv);
+            fft_with(&mut work, omega, Parallelism::serial());
+            ifft_with(&mut work, omega_inv, n_inv, Parallelism::serial());
             assert_eq!(work, coeffs, "k={k}");
         }
     }

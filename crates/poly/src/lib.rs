@@ -10,7 +10,7 @@ mod domain;
 mod fft;
 
 pub use domain::EvaluationDomain;
-pub use fft::{fft, fft_with, ifft, ifft_with};
+pub use fft::{fft_with, ifft_with};
 
 use poneglyph_arith::PrimeField;
 

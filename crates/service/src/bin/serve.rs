@@ -13,12 +13,12 @@
 //! workers × more threads minimizes cold latency for a lone query.
 //!
 //! Hosts two small built-in demo databases (the quickstart's employee
-//! table — the default — and an orders table) so the service is drivable
+//! table and an orders table) so the service is drivable
 //! out of the box; a real deployment attaches its own tables. Prints each
 //! database digest a client would check against the commitment registry,
 //! then serves until shut down.
 //!
-//! `--append-every SECS` exercises the v3 mutation path: a background
+//! `--append-every SECS` exercises the mutation path: a background
 //! thread appends one synthetic order row to the orders lineage every
 //! interval, logging each homomorphic commitment update and the successor
 //! digest clients should requery against.
@@ -36,7 +36,9 @@
 
 use poneglyph_obs::{log_error, log_info, log_warn};
 use poneglyph_pcs::IpaParams;
-use poneglyph_service::{digest_hex, ProvingService, ServiceConfig, ServiceServer};
+use poneglyph_service::{
+    digest_hex, ProvingService, ServiceConfig, ServiceServer, PROTOCOL_VERSION,
+};
 use poneglyph_sql::{ColumnType, Database, Schema, Table};
 use std::sync::Arc;
 
@@ -162,7 +164,7 @@ fn main() {
     let d_employees = service.attach_with_pks(employees_database(), &[("employees", "emp_id")]);
     let d_orders = service.attach_with_pks(orders_database(), &[("orders", "order_id")]);
     log_info!(
-        "hosting 2 databases: employees (default) {}, orders {}",
+        "hosting 2 databases: employees {}, orders {}",
         digest_hex(&d_employees[..16]),
         digest_hex(&d_orders[..16]),
     );
@@ -170,7 +172,7 @@ fn main() {
     let server =
         ServiceServer::spawn(Arc::clone(&service), ("127.0.0.1", port)).expect("bind service port");
     log_info!(
-        "serving protocol v4 on {} with {workers} prover worker(s); \
+        "serving protocol v{PROTOCOL_VERSION} on {} with {workers} prover worker(s); \
          'quit' or stdin EOF (or --duration) to stop",
         server.local_addr()
     );

@@ -6,16 +6,15 @@
 //! [`VerifierSession`], so verifying a stream of responses compiles and
 //! keys each query circuit once.
 
-use crate::cache::LruCache;
 use crate::protocol::{
-    encode_append_request, encode_sql_request, read_frame, write_frame, AppendAck, ServerInfo,
-    REQ_APPEND, REQ_INFO, REQ_METRICS, REQ_QUERY, REQ_QUERY_DB, REQ_SQL, RESP_APPEND, RESP_ERR,
-    RESP_INFO, RESP_METRICS, RESP_QUERY, RESP_SQL,
+    decode_query_response, decode_sql_response, encode_append_request, encode_sql_request,
+    read_frame, write_frame, AppendAck, ServerInfo, REQ_APPEND, REQ_INFO, REQ_METRICS,
+    REQ_QUERY_DB, REQ_SQL, RESP_APPEND, RESP_ERR, RESP_INFO, RESP_METRICS, RESP_QUERY, RESP_SQL,
 };
 use crate::registry::digest_hex;
-use poneglyph_core::{QueryResponse, SessionStats, VerifierSession};
+use poneglyph_core::{LruCache, QueryResponse, SessionStats, VerifierSession};
 use poneglyph_pcs::IpaParams;
-use poneglyph_sql::{plan_from_bytes, plan_to_bytes, Plan, Table, WireError};
+use poneglyph_sql::{plan_to_bytes, Plan, Table, WireError};
 use std::collections::HashSet;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -139,9 +138,9 @@ impl ServiceClient {
         Ok(info)
     }
 
-    /// Fetch the server's metrics snapshot (protocol v4): the registry
-    /// rendered in the Prometheus text exposition format — identical to
-    /// what the server's `GET /metrics` HTTP endpoint serves.
+    /// Fetch the server's metrics snapshot: the registry rendered in the
+    /// Prometheus text exposition format — identical to what the server's
+    /// `GET /metrics` HTTP endpoint serves.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
         let (ty, body) = self.request(REQ_METRICS, &[])?;
         if ty != RESP_METRICS {
@@ -220,33 +219,6 @@ impl ServiceClient {
         Ok(before - self.sessions.len())
     }
 
-    fn decode_query_response(body: Vec<u8>) -> Result<WireResponse, ClientError> {
-        let (&hit, rest) = body
-            .split_first()
-            .ok_or_else(|| ClientError::Protocol("empty query response".into()))?;
-        let response = QueryResponse::from_bytes(rest)?;
-        Ok(WireResponse {
-            response,
-            cache_hit: hit != 0,
-        })
-    }
-
-    /// Ask the server to prove a plan against its *default* database
-    /// (legacy v1 request); returns the decoded (unverified) response.
-    #[deprecated(
-        since = "0.2.0",
-        note = "name the target database: use `query_on` (or `query_sql` for SQL text)"
-    )]
-    pub fn query(&mut self, plan: &Plan) -> Result<WireResponse, ClientError> {
-        let (ty, body) = self.request(REQ_QUERY, &plan_to_bytes(plan))?;
-        if ty != RESP_QUERY {
-            return Err(ClientError::Protocol(format!(
-                "expected query response, got tag {ty:#04x}"
-            )));
-        }
-        Self::decode_query_response(body)
-    }
-
     /// Ask the server to prove a plan against the database addressed by
     /// `digest`; returns the decoded (unverified) response.
     pub fn query_on(
@@ -263,7 +235,11 @@ impl ServiceClient {
                 "expected query response, got tag {ty:#04x}"
             )));
         }
-        Self::decode_query_response(body)
+        let (cache_hit, response) = decode_query_response(&body)?;
+        Ok(WireResponse {
+            response,
+            cache_hit,
+        })
     }
 
     /// Send SQL text to be planned and proven server-side against the
@@ -281,29 +257,17 @@ impl ServiceClient {
                 "expected SQL response, got tag {ty:#04x}"
             )));
         }
-        let (&hit, rest) = body
-            .split_first()
-            .ok_or_else(|| ClientError::Protocol("empty SQL response".into()))?;
-        if rest.len() < 4 {
-            return Err(ClientError::Protocol("truncated SQL response".into()));
-        }
-        let plan_len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-        let rest = &rest[4..];
-        if rest.len() < plan_len {
-            return Err(ClientError::Protocol("truncated plan echo".into()));
-        }
-        let plan = plan_from_bytes(&rest[..plan_len])?;
-        let response = QueryResponse::from_bytes(&rest[plan_len..])?;
+        let (cache_hit, plan, response) = decode_sql_response(&body)?;
         Ok((
             plan,
             WireResponse {
                 response,
-                cache_hit: hit != 0,
+                cache_hit,
             },
         ))
     }
 
-    /// Append rows to the database addressed by `digest` (protocol v3).
+    /// Append rows to the database addressed by `digest`.
     ///
     /// On success the server has swapped in the successor state: the
     /// returned [`AppendAck`] carries the **new digest** (the target for
@@ -373,28 +337,5 @@ impl ServiceClient {
             .verify(&plan, &wire.response)
             .map_err(|e| ClientError::Verify(e.to_string()))?;
         Ok((table, plan, wire.cache_hit))
-    }
-
-    /// The legacy v1 trusting-client path: query the server's *current*
-    /// default database, then verify against its advertised shape.
-    ///
-    /// The default digest is re-resolved and then **pinned** per call (the
-    /// request goes out digest-addressed): with a mutable registry, a bare
-    /// default-database request could otherwise be proven against a
-    /// different committed state than the one verified against.
-    #[deprecated(
-        since = "0.2.0",
-        note = "name the target database: use `query_verified_on` / `query_verified_sql`"
-    )]
-    pub fn query_verified(
-        &mut self,
-        params: &IpaParams,
-        plan: &Plan,
-    ) -> Result<(Table, bool), ClientError> {
-        let default = self
-            .info()? // fresh: the default can move as databases attach/detach
-            .default_digest
-            .ok_or_else(|| ClientError::Server("server hosts no default database".into()))?;
-        self.query_verified_on(params, &default, plan)
     }
 }

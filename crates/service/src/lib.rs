@@ -19,7 +19,7 @@
 //!   `(database digest, plan fingerprint)` with per-database accounting,
 //!   and in-flight deduplication so identical concurrent queries cost one
 //!   proof.
-//! * [`protocol`] — the versioned frame protocol (v4: digest-addressed
+//! * [`protocol`] — the versioned frame protocol (v5: digest-addressed
 //!   queries, SQL-over-the-wire, row appends with epoch advertisement,
 //!   metrics snapshots) and payload codecs shared by server and client.
 //! * [`ServiceServer`] / [`ServiceClient`] — a `std::net` TCP front end
@@ -47,14 +47,12 @@
 
 #![warn(missing_docs)]
 
-mod cache;
 mod client;
 pub mod protocol;
 mod registry;
 mod server;
 mod service;
 
-pub use cache::LruCache;
 pub use client::{ClientError, ServiceClient, WireResponse, DEFAULT_SESSION_CAPACITY};
 pub use poneglyph_core::Parallelism;
 pub use protocol::{AppendAck, DatabaseInfo, ServerInfo, MAX_APPEND_CELLS, PROTOCOL_VERSION};

@@ -1,4 +1,4 @@
-//! The TCP wire protocol (v4): framing and message payloads.
+//! The TCP wire protocol (v5): framing and message payloads.
 //!
 //! Every message is one frame:
 //!
@@ -10,29 +10,26 @@
 //!
 //! Requests:
 //! * [`REQ_INFO`] — empty payload; asks for the server's public facts.
-//! * [`REQ_QUERY`] — *legacy v1 path*: payload is a canonical plan
-//!   ([`plan_to_bytes`](poneglyph_sql::plan_to_bytes)) served against the
-//!   server's **default** database.
-//! * [`REQ_QUERY_DB`] — 64-byte database digest, then a canonical plan:
-//!   names exactly which committed database state the proof must be
-//!   against.
+//! * [`REQ_QUERY_DB`] — 64-byte database digest, then a canonical plan
+//!   ([`plan_to_bytes`]): names exactly which committed database state the
+//!   proof must be against. Every query names its database; there is no
+//!   default.
 //! * [`REQ_SQL`] — 64-byte database digest, then a u32-length-prefixed
 //!   UTF-8 SQL string. The *server* parses and plans the text (fixing the
 //!   string-dictionary out-of-band problem: literals intern server-side).
-//! * [`REQ_APPEND`] — *new in v3*: 64-byte target digest, table name, and
+//! * [`REQ_APPEND`] — 64-byte target digest, table name, and
 //!   a row batch in the canonical cell encoding (row-major `i64`s, bounded
 //!   by [`MAX_APPEND_CELLS`]); asks the server to append the rows and
 //!   advance the database's commitment homomorphically.
-//! * [`REQ_METRICS`] — *new in v4*: empty payload; asks for a snapshot of
-//!   the server's metrics registry.
+//! * [`REQ_METRICS`] — empty payload; asks for a snapshot of the server's
+//!   metrics registry.
 //!
 //! Responses:
 //! * [`RESP_INFO`] — a [`ServerInfo`] (all hosted databases + counters,
 //!   including each lineage's *mutation epoch*, so clients drop stale
 //!   verifier sessions).
 //! * [`RESP_QUERY`] — one cache-hit byte, then a serialized
-//!   [`QueryResponse`](poneglyph_core::QueryResponse). Answers both query
-//!   request forms.
+//!   [`QueryResponse`].
 //! * [`RESP_SQL`] — one cache-hit byte, a u32-length-prefixed canonical
 //!   plan, then a serialized response. The echoed plan is what the server
 //!   proved; the client verifies against exactly it.
@@ -46,37 +43,36 @@
 //! Frames are bounded by [`MAX_FRAME`]; a peer announcing a larger payload
 //! is a protocol error, not an allocation.
 
-use poneglyph_core::{read_schema, write_schema};
-use poneglyph_sql::{write_string, ByteReader, Database, Schema, Table, WireError};
+use poneglyph_core::{read_schema, write_schema, QueryResponse};
+use poneglyph_sql::{
+    plan_from_bytes, plan_to_bytes, write_string, ByteReader, Database, Plan, Schema, Table,
+    WireError,
+};
 use std::io::{self, Read, Write};
 
 /// Protocol version, carried in [`ServerInfo`].
-pub const PROTOCOL_VERSION: u16 = 4;
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Hard cap on a frame payload (64 MiB).
 pub const MAX_FRAME: usize = 64 << 20;
 
 /// Client request: server info.
 pub const REQ_INFO: u8 = 0x01;
-/// Client request, legacy v1 path: prove a plan against the default
-/// database (payload = canonical plan bytes).
-pub const REQ_QUERY: u8 = 0x02;
 /// Client request: prove a plan against a named database
 /// (payload = 64-byte digest + canonical plan bytes).
 pub const REQ_QUERY_DB: u8 = 0x03;
 /// Client request: plan and prove SQL text against a named database
 /// (payload = 64-byte digest + u32 length + UTF-8 SQL).
 pub const REQ_SQL: u8 = 0x04;
-/// Client request, new in v3: append rows to a named database
+/// Client request: append rows to a named database
 /// (payload = 64-byte digest + table name + u32 width + u32 rows +
 /// row-major i64 cells).
 pub const REQ_APPEND: u8 = 0x05;
-/// Client request, new in v4: a metrics snapshot (empty payload).
+/// Client request: a metrics snapshot (empty payload).
 pub const REQ_METRICS: u8 = 0x06;
 /// Server response to [`REQ_INFO`].
 pub const RESP_INFO: u8 = 0x81;
-/// Server response to [`REQ_QUERY`] / [`REQ_QUERY_DB`]
-/// (cache-hit byte + response bytes).
+/// Server response to [`REQ_QUERY_DB`] (cache-hit byte + response bytes).
 pub const RESP_QUERY: u8 = 0x82;
 /// Server response to [`REQ_SQL`]
 /// (cache-hit byte + u32 plan length + plan bytes + response bytes).
@@ -227,9 +223,6 @@ pub struct ServerInfo {
     pub protocol: u16,
     /// log2 of the largest circuit the server's parameters support.
     pub max_k: u32,
-    /// Digest of the default database (the legacy [`REQ_QUERY`] target),
-    /// when one is attached.
-    pub default_digest: Option<[u8; 64]>,
     /// Every hosted database, in digest order.
     pub databases: Vec<DatabaseInfo>,
 }
@@ -240,13 +233,6 @@ impl ServerInfo {
         let mut out = Vec::new();
         out.extend_from_slice(&self.protocol.to_le_bytes());
         out.extend_from_slice(&self.max_k.to_le_bytes());
-        match &self.default_digest {
-            Some(d) => {
-                out.push(1);
-                out.extend_from_slice(d);
-            }
-            None => out.push(0),
-        }
         out.extend_from_slice(&(self.databases.len() as u32).to_le_bytes());
         for db in &self.databases {
             db.write(&mut out);
@@ -262,11 +248,6 @@ impl ServerInfo {
             return Err(WireError::BadVersion(protocol));
         }
         let max_k = r.u32()?;
-        let default_digest = match r.u8()? {
-            0 => None,
-            1 => Some(r.take_arr()?),
-            other => return Err(WireError::BadTag(other)),
-        };
         let ndbs = r.read_len()?;
         if ndbs > MAX_ADVERTISED_DATABASES {
             return Err(WireError::LengthOverflow(ndbs));
@@ -280,7 +261,6 @@ impl ServerInfo {
         Ok(Self {
             protocol,
             max_k,
-            default_digest,
             databases,
         })
     }
@@ -315,6 +295,45 @@ pub fn decode_sql_text(rest: &[u8]) -> Result<String, WireError> {
     let sql = r.string()?;
     r.finish()?;
     Ok(sql)
+}
+
+/// Encode a [`RESP_QUERY`] body: one cache-hit byte, then the serialized
+/// response.
+pub fn encode_query_response(cache_hit: bool, response: &QueryResponse) -> Vec<u8> {
+    let mut out = vec![u8::from(cache_hit)];
+    out.extend_from_slice(&response.to_bytes());
+    out
+}
+
+/// Decode a [`RESP_QUERY`] body into the cache-hit flag and the (still
+/// unverified) response.
+pub fn decode_query_response(body: &[u8]) -> Result<(bool, QueryResponse), WireError> {
+    let mut r = ByteReader::new(body);
+    let cache_hit = r.u8()? != 0;
+    let response = QueryResponse::from_bytes(r.take(r.remaining())?)?;
+    Ok((cache_hit, response))
+}
+
+/// Encode a [`RESP_SQL`] body: one cache-hit byte, the u32-length-prefixed
+/// canonical plan the server proved, then the serialized response.
+pub fn encode_sql_response(cache_hit: bool, plan: &Plan, response: &QueryResponse) -> Vec<u8> {
+    let plan_bytes = plan_to_bytes(plan);
+    let mut out = vec![u8::from(cache_hit)];
+    out.extend_from_slice(&(plan_bytes.len() as u32).to_le_bytes());
+    out.extend_from_slice(&plan_bytes);
+    out.extend_from_slice(&response.to_bytes());
+    out
+}
+
+/// Decode a [`RESP_SQL`] body into the cache-hit flag, the echoed plan and
+/// the (still unverified) response.
+pub fn decode_sql_response(body: &[u8]) -> Result<(bool, Plan, QueryResponse), WireError> {
+    let mut r = ByteReader::new(body);
+    let cache_hit = r.u8()? != 0;
+    let plan_len = r.u32()? as usize;
+    let plan = plan_from_bytes(r.take(plan_len)?)?;
+    let response = QueryResponse::from_bytes(r.take(r.remaining())?)?;
+    Ok((cache_hit, plan, response))
 }
 
 /// Upper bound on the cells (`rows × width`) of one [`REQ_APPEND`] batch:
@@ -442,10 +461,10 @@ mod tests {
     #[test]
     fn frame_roundtrip() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, REQ_QUERY, b"hello").unwrap();
+        write_frame(&mut buf, REQ_SQL, b"hello").unwrap();
         let mut r = &buf[..];
         let (ty, payload) = read_frame(&mut r).unwrap().expect("frame");
-        assert_eq!(ty, REQ_QUERY);
+        assert_eq!(ty, REQ_SQL);
         assert_eq!(payload, b"hello");
         assert!(read_frame(&mut r).unwrap().is_none()); // clean EOF
     }
@@ -453,7 +472,7 @@ mod tests {
     #[test]
     fn truncated_frame_is_an_error() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, REQ_QUERY, b"hello").unwrap();
+        write_frame(&mut buf, REQ_SQL, b"hello").unwrap();
         buf.truncate(buf.len() - 1);
         let mut r = &buf[..];
         assert!(read_frame(&mut r).is_err());
@@ -461,7 +480,7 @@ mod tests {
 
     #[test]
     fn oversized_frame_rejected_without_allocating() {
-        let mut buf = vec![REQ_QUERY];
+        let mut buf = vec![REQ_SQL];
         buf.extend_from_slice(&(u32::MAX).to_le_bytes());
         let mut r = &buf[..];
         assert!(read_frame(&mut r).is_err());
@@ -471,7 +490,6 @@ mod tests {
         ServerInfo {
             protocol: PROTOCOL_VERSION,
             max_k: 12,
-            default_digest: Some([7u8; 64]),
             databases: vec![
                 DatabaseInfo {
                     digest: [7u8; 64],
@@ -546,6 +564,27 @@ mod tests {
     }
 
     #[test]
+    fn v4_info_bytes_rejected() {
+        // The v4 layout: a default-digest option between `max_k` and the
+        // database count. Relabelled v5 it must still fail to decode.
+        let info = demo_info();
+        let v5 = info.to_bytes();
+        let mut v4 = v5[..6].to_vec();
+        v4.push(1);
+        v4.extend_from_slice(&info.databases[0].digest);
+        v4.extend_from_slice(&v5[6..]);
+        assert!(
+            ServerInfo::from_bytes(&v4).is_err(),
+            "v4 body under a v5 tag"
+        );
+        v4[0] = 4;
+        assert!(matches!(
+            ServerInfo::from_bytes(&v4),
+            Err(WireError::BadVersion(4))
+        ));
+    }
+
+    #[test]
     fn sql_request_roundtrip() {
         let digest = [3u8; 64];
         let payload = encode_sql_request(&digest, "SELECT x FROM u");
@@ -555,6 +594,63 @@ mod tests {
 
         assert!(split_digest(&payload[..63]).is_err());
         assert!(decode_sql_text(&payload[64..payload.len() - 1]).is_err());
+    }
+
+    /// A structurally valid response small enough to truncate at every
+    /// byte: a two-row result and an empty proof.
+    fn demo_response() -> QueryResponse {
+        let mut result = Table::empty(Schema::new(&[("x", ColumnType::Int)]));
+        result.push_row(&[41]);
+        result.push_row(&[42]);
+        QueryResponse {
+            result,
+            instance: vec![vec![]],
+            proof: poneglyph_plonkish::Proof {
+                advice_commitments: vec![],
+                lookup_permuted: vec![],
+                perm_z: vec![],
+                lookup_z: vec![],
+                shuffle_z: vec![],
+                h_pieces: vec![],
+                evals: vec![],
+                openings: vec![],
+            },
+            k: 9,
+        }
+    }
+
+    #[test]
+    fn query_response_body_roundtrip_and_truncation() {
+        let response = demo_response();
+        for hit in [false, true] {
+            let body = encode_query_response(hit, &response);
+            let (back_hit, back) = decode_query_response(&body).expect("decode");
+            assert_eq!((back_hit, &back), (hit, &response));
+            for cut in 0..body.len() {
+                assert!(decode_query_response(&body[..cut]).is_err(), "cut={cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn sql_response_body_roundtrip_and_truncation() {
+        let response = demo_response();
+        let plan = Plan::Scan { table: "u".into() };
+        for hit in [false, true] {
+            let body = encode_sql_response(hit, &plan, &response);
+            let (back_hit, back_plan, back) = decode_sql_response(&body).expect("decode");
+            assert_eq!((back_hit, &back_plan, &back), (hit, &plan, &response));
+            for cut in 0..body.len() {
+                assert!(decode_sql_response(&body[..cut]).is_err(), "cut={cut}");
+            }
+        }
+        // A plan length pointing past the body is an error, not a slice panic.
+        let mut body = encode_sql_response(false, &plan, &response);
+        body[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            decode_sql_response(&body),
+            Err(WireError::Truncated)
+        ));
     }
 
     #[test]

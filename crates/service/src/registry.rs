@@ -8,9 +8,7 @@
 //! and a hosted database may *advance*: an append batch produces a
 //! successor entry under a new digest ([`DatabaseRegistry::advance`]),
 //! with the lineage's history kept in a per-digest
-//! [`DeltaLog`](poneglyph_core::DeltaLog). The first attached database
-//! becomes the *default* for the legacy single-database API; the default
-//! follows its lineage across mutations.
+//! [`DeltaLog`](poneglyph_core::DeltaLog).
 
 use poneglyph_core::{DeltaLog, ProverSession};
 use poneglyph_sql::{Catalog, Database};
@@ -40,15 +38,13 @@ pub(crate) struct DbEntry {
 /// A digest-addressed set of hosted databases.
 ///
 /// Keys are commitment digests (BTreeMap: deterministic iteration order
-/// for `REQ_INFO` listings). One entry may be marked as the default — the
-/// target of the legacy single-database request path. Each hosted digest
-/// carries the [`DeltaLog`] of its lineage; the log's length is the
-/// database's *mutation epoch* (0 for a freshly attached state).
+/// for `REQ_INFO` listings). Each hosted digest carries the [`DeltaLog`]
+/// of its lineage; the log's length is the database's *mutation epoch* (0
+/// for a freshly attached state).
 #[derive(Default)]
 pub struct DatabaseRegistry {
     entries: BTreeMap<[u8; 64], Arc<DbEntry>>,
     logs: BTreeMap<[u8; 64], DeltaLog>,
-    default_digest: Option<[u8; 64]>,
 }
 
 impl DatabaseRegistry {
@@ -72,12 +68,6 @@ impl DatabaseRegistry {
         self.entries.keys().copied().collect()
     }
 
-    /// The default database's digest (the first attached, unless the
-    /// default was detached; follows its lineage across mutations).
-    pub fn default_digest(&self) -> Option<[u8; 64]> {
-        self.default_digest
-    }
-
     /// The mutation epoch of a hosted digest: how many append batches its
     /// lineage has absorbed (0 for a fresh attach, `None` if not hosted).
     pub fn epoch_of(&self, digest: &[u8; 64]) -> Option<u64> {
@@ -98,24 +88,18 @@ impl DatabaseRegistry {
         // the old one. An existing lineage log for this digest survives.
         self.entries.insert(digest, entry);
         self.logs.entry(digest).or_default();
-        if self.default_digest.is_none() {
-            self.default_digest = Some(digest);
-        }
         digest
     }
 
     /// Swap `old_digest`'s entry for its mutated successor, carrying the
     /// lineage's delta log (already extended with the applied batch) to
-    /// the new digest. The default marker follows the lineage.
+    /// the new digest.
     pub(crate) fn advance(&mut self, old_digest: &[u8; 64], entry: Arc<DbEntry>, log: DeltaLog) {
         let new_digest = entry.digest;
         self.entries.remove(old_digest);
         self.logs.remove(old_digest);
         self.entries.insert(new_digest, entry);
         self.logs.insert(new_digest, log);
-        if self.default_digest == Some(*old_digest) {
-            self.default_digest = Some(new_digest);
-        }
     }
 
     /// Remove the lineage log for `digest`, to extend during a mutation;
@@ -128,19 +112,11 @@ impl DatabaseRegistry {
     pub(crate) fn remove(&mut self, digest: &[u8; 64]) -> Option<Arc<DbEntry>> {
         let removed = self.entries.remove(digest)?;
         self.logs.remove(digest);
-        if self.default_digest == Some(*digest) {
-            // Fall back to the (digest-order) first remaining database.
-            self.default_digest = self.entries.keys().next().copied();
-        }
         Some(removed)
     }
 
     pub(crate) fn get(&self, digest: &[u8; 64]) -> Option<Arc<DbEntry>> {
         self.entries.get(digest).cloned()
-    }
-
-    pub(crate) fn default_entry(&self) -> Option<Arc<DbEntry>> {
-        self.default_digest.and_then(|d| self.get(&d))
     }
 
     pub(crate) fn entries(&self) -> impl Iterator<Item = &Arc<DbEntry>> {

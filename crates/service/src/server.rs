@@ -2,12 +2,13 @@
 //! behalf of a [`ProvingService`].
 
 use crate::protocol::{
-    decode_append_request, decode_sql_text, read_frame, split_digest, write_frame, AppendAck,
-    DatabaseInfo, ServerInfo, REQ_APPEND, REQ_INFO, REQ_METRICS, REQ_QUERY, REQ_QUERY_DB, REQ_SQL,
-    RESP_APPEND, RESP_ERR, RESP_INFO, RESP_METRICS, RESP_QUERY, RESP_SQL,
+    decode_append_request, decode_sql_text, encode_query_response, encode_sql_response, read_frame,
+    split_digest, write_frame, AppendAck, DatabaseInfo, ServerInfo, REQ_APPEND, REQ_INFO,
+    REQ_METRICS, REQ_QUERY_DB, REQ_SQL, RESP_APPEND, RESP_ERR, RESP_INFO, RESP_METRICS, RESP_QUERY,
+    RESP_SQL,
 };
-use crate::service::{ProvingService, Served, ServiceError};
-use poneglyph_sql::{plan_from_bytes, plan_to_bytes};
+use crate::service::{ProvingService, ServiceError};
+use poneglyph_sql::plan_from_bytes;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -84,14 +85,11 @@ impl Drop for ServiceServer {
     }
 }
 
-/// Build the v2 info advertisement from the service's live state.
-///
-/// Uses one consistent registry snapshot (metadata only, no row-data
-/// clones), so the advertised default digest always names an advertised
-/// database.
+/// Build the info advertisement from the service's live state: one
+/// consistent registry snapshot (metadata only, no row-data clones).
 pub fn server_info(service: &ProvingService) -> ServerInfo {
-    let (default_digest, snapshots) = service.info_snapshot();
-    let databases = snapshots
+    let databases = service
+        .info_snapshot()
         .into_iter()
         .map(|snap| DatabaseInfo {
             digest: snap.stats.digest,
@@ -105,15 +103,8 @@ pub fn server_info(service: &ProvingService) -> ServerInfo {
     ServerInfo {
         protocol: crate::protocol::PROTOCOL_VERSION,
         max_k: service.params().k,
-        default_digest,
         databases,
     }
-}
-
-fn write_served(stream: &mut TcpStream, served: &Served) -> io::Result<()> {
-    let mut out = vec![u8::from(served.cache_hit)];
-    out.extend_from_slice(&served.response.to_bytes());
-    write_frame(stream, RESP_QUERY, &out)
 }
 
 fn write_error(stream: &mut TcpStream, e: &ServiceError) -> io::Result<()> {
@@ -142,26 +133,16 @@ fn handle_connection(service: &ProvingService, mut stream: TcpStream) -> io::Res
                 let info = server_info(service);
                 write_frame(&mut stream, RESP_INFO, &info.to_bytes())?;
             }
-            // Legacy v1 path: a bare plan against the default database.
-            REQ_QUERY => {
-                record_request("query");
-                match plan_from_bytes(&payload) {
-                    Ok(plan) => match service.query(plan) {
-                        Ok(served) => write_served(&mut stream, &served)?,
-                        Err(e) => write_error(&mut stream, &e)?,
-                    },
-                    Err(e) => {
-                        write_frame(&mut stream, RESP_ERR, format!("bad plan: {e}").as_bytes())?
-                    }
-                }
-            }
             REQ_QUERY_DB => {
                 record_request("query_db");
                 match split_digest(&payload)
                     .and_then(|(digest, rest)| Ok((digest, plan_from_bytes(rest)?)))
                 {
                     Ok((digest, plan)) => match service.query_on(&digest, plan) {
-                        Ok(served) => write_served(&mut stream, &served)?,
+                        Ok(served) => {
+                            let body = encode_query_response(served.cache_hit, &served.response);
+                            write_frame(&mut stream, RESP_QUERY, &body)?;
+                        }
                         Err(e) => write_error(&mut stream, &e)?,
                     },
                     Err(e) => write_frame(
@@ -205,12 +186,9 @@ fn handle_connection(service: &ProvingService, mut stream: TcpStream) -> io::Res
                 {
                     Ok((digest, sql)) => match service.query_sql(&digest, &sql) {
                         Ok((plan, served)) => {
-                            let plan_bytes = plan_to_bytes(&plan);
-                            let mut out = vec![u8::from(served.cache_hit)];
-                            out.extend_from_slice(&(plan_bytes.len() as u32).to_le_bytes());
-                            out.extend_from_slice(&plan_bytes);
-                            out.extend_from_slice(&served.response.to_bytes());
-                            write_frame(&mut stream, RESP_SQL, &out)?;
+                            let body =
+                                encode_sql_response(served.cache_hit, &plan, &served.response);
+                            write_frame(&mut stream, RESP_SQL, &body)?;
                         }
                         Err(e) => write_error(&mut stream, &e)?,
                     },

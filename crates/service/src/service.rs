@@ -12,9 +12,10 @@
 //! deduplicated: the second waits for the first proof instead of proving
 //! again.
 
-use crate::cache::LruCache;
 use crate::registry::{digest_hex, DatabaseRegistry, DbEntry};
-use poneglyph_core::{AppliedDelta, DeltaLog, Parallelism, ProverSession, QueryResponse, RowBatch};
+use poneglyph_core::{
+    AppliedDelta, DeltaLog, LruCache, Parallelism, ProverSession, QueryResponse, RowBatch,
+};
 use poneglyph_obs as obs;
 use poneglyph_pcs::IpaParams;
 use poneglyph_sql::{
@@ -54,7 +55,7 @@ pub struct ServiceConfig {
     /// only `cache_capacity` applies.
     pub cache_bytes: usize,
     /// Bound of the job queue; submissions beyond it block (or are
-    /// rejected by [`ProvingService::try_submit`]).
+    /// rejected by [`ProvingService::try_submit_on`]).
     pub queue_depth: usize,
     /// Seed for the workers' proof-blinding randomness.
     pub seed: u64,
@@ -86,9 +87,6 @@ pub enum ServiceError {
     Shutdown,
     /// No database with the requested digest is attached (hex digest).
     UnknownDatabase(String),
-    /// The legacy single-database path was used but no database is
-    /// attached.
-    NoDatabase,
     /// SQL text failed to parse or plan.
     Sql(String),
     /// A mutation batch was rejected (unknown table, width mismatch,
@@ -103,7 +101,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Prove(e) => write!(f, "proving failed: {e}"),
             ServiceError::Shutdown => write!(f, "service shut down"),
             ServiceError::UnknownDatabase(d) => write!(f, "no database with digest {d}"),
-            ServiceError::NoDatabase => write!(f, "no database attached"),
             ServiceError::Sql(e) => write!(f, "SQL error: {e}"),
             ServiceError::Mutation(e) => write!(f, "mutation rejected: {e}"),
         }
@@ -202,6 +199,21 @@ struct Job {
     /// Enqueue time, for the queue-wait histogram (observed at dequeue).
     submitted: Instant,
     reply: SyncSender<Result<Served, ServiceError>>,
+}
+
+impl Job {
+    /// A job proving `plan` on `entry`, and the handle its answer arrives
+    /// on.
+    fn new(entry: Arc<DbEntry>, plan: Plan) -> (Self, JobHandle) {
+        let (reply, rx) = sync_channel(1);
+        let job = Self {
+            entry,
+            plan,
+            submitted: Instant::now(),
+            reply,
+        };
+        (job, JobHandle { rx })
+    }
 }
 
 /// Handles into the global metrics registry, resolved once at service
@@ -314,14 +326,6 @@ impl JobHandle {
     pub fn wait(self) -> Result<Served, ServiceError> {
         self.rx.recv().unwrap_or(Err(ServiceError::Shutdown))
     }
-
-    /// A handle that resolves immediately to `err` (submission-time
-    /// failures on the infallible legacy path).
-    fn failed(err: ServiceError) -> Self {
-        let (reply, rx) = sync_channel(1);
-        let _ = reply.send(Err(err));
-        Self { rx }
-    }
 }
 
 /// A multi-threaded proving service over a registry of committed
@@ -374,20 +378,11 @@ impl ProvingService {
         }
     }
 
-    /// Start the service hosting one database (which becomes the default
-    /// for the legacy single-database API).
-    pub fn new(params: IpaParams, db: Database, config: ServiceConfig) -> Self {
-        let service = Self::empty(params, config);
-        service.attach(db);
-        service
-    }
-
     /// Commit to `db` and host it; returns the digest that now addresses
-    /// it. The first attached database becomes the default. Re-attaching
-    /// an already-hosted digest *replaces* its entry — the SQL catalog and
-    /// primary-key metadata take effect and that database's counters (and
-    /// cached proving keys) restart; cached proofs stay valid because the
-    /// committed state is identical.
+    /// it. Re-attaching an already-hosted digest *replaces* its entry — the
+    /// SQL catalog and primary-key metadata take effect and that database's
+    /// counters (and cached proving keys) restart; cached proofs stay valid
+    /// because the committed state is identical.
     pub fn attach(&self, db: Database) -> [u8; 64] {
         self.attach_with_pks(db, &[])
     }
@@ -608,33 +603,6 @@ impl ProvingService {
             .digests()
     }
 
-    /// The default database's digest, if any database is attached.
-    pub fn default_digest(&self) -> Option<[u8; 64]> {
-        self.shared
-            .registry
-            .read()
-            .expect("registry lock")
-            .default_digest()
-    }
-
-    /// The default database's registry digest.
-    ///
-    /// Panics when no database is attached — use
-    /// [`default_digest`](Self::default_digest) for the fallible form.
-    pub fn digest(&self) -> [u8; 64] {
-        self.default_digest()
-            .expect("no database attached to the service")
-    }
-
-    /// The default database's shape (schemas + row counts, zeroed values).
-    ///
-    /// Panics when no database is attached — use
-    /// [`shape_of`](Self::shape_of) for the fallible form.
-    pub fn shape(&self) -> Database {
-        let digest = self.digest();
-        self.shape_of(&digest).expect("default database attached")
-    }
-
     /// The shape of the database addressed by `digest`.
     pub fn shape_of(&self, digest: &[u8; 64]) -> Option<Database> {
         self.shared
@@ -659,38 +627,15 @@ impl ProvingService {
             .ok_or_else(|| ServiceError::UnknownDatabase(digest_hex(&digest[..16])))
     }
 
-    fn default_entry(&self) -> Result<Arc<DbEntry>, ServiceError> {
-        self.shared
-            .registry
-            .read()
-            .expect("registry lock")
-            .default_entry()
-            .ok_or(ServiceError::NoDatabase)
-    }
-
+    /// Hand a job to the workers, blocking while the queue is full.
     fn enqueue(&self, entry: Arc<DbEntry>, plan: Plan) -> JobHandle {
-        let (reply, rx) = sync_channel(1);
-        let job = Job {
-            entry,
-            plan,
-            submitted: Instant::now(),
-            reply,
-        };
+        let (job, handle) = Job::new(entry, plan);
         if let Some(tx) = &self.tx {
             // A send error means every worker is gone; the handle will
             // resolve to `Shutdown` because the reply sender was dropped.
             let _ = tx.send(job);
         }
-        JobHandle { rx }
-    }
-
-    /// Enqueue a query against the default database, blocking while the
-    /// queue is full.
-    pub fn submit(&self, plan: Plan) -> JobHandle {
-        match self.default_entry() {
-            Ok(entry) => self.enqueue(entry, plan),
-            Err(e) => JobHandle::failed(e),
-        }
+        handle
     }
 
     /// Enqueue a query against the database addressed by `digest`,
@@ -699,41 +644,18 @@ impl ProvingService {
         Ok(self.enqueue(self.resolve(digest)?, plan))
     }
 
-    /// Enqueue against the default database, failing fast with
-    /// [`ServiceError::QueueFull`] instead of blocking.
-    pub fn try_submit(&self, plan: Plan) -> Result<JobHandle, ServiceError> {
-        let entry = self.default_entry()?;
-        self.try_enqueue(entry, plan)
-    }
-
     /// Enqueue against the database addressed by `digest`, failing fast
     /// with [`ServiceError::QueueFull`] instead of blocking.
     pub fn try_submit_on(&self, digest: &[u8; 64], plan: Plan) -> Result<JobHandle, ServiceError> {
-        let entry = self.resolve(digest)?;
-        self.try_enqueue(entry, plan)
-    }
-
-    fn try_enqueue(&self, entry: Arc<DbEntry>, plan: Plan) -> Result<JobHandle, ServiceError> {
-        let (reply, rx) = sync_channel(1);
-        let job = Job {
-            entry,
-            plan,
-            submitted: Instant::now(),
-            reply,
-        };
+        let (job, handle) = Job::new(self.resolve(digest)?, plan);
         match &self.tx {
             Some(tx) => match tx.try_send(job) {
-                Ok(()) => Ok(JobHandle { rx }),
+                Ok(()) => Ok(handle),
                 Err(TrySendError::Full(_)) => Err(ServiceError::QueueFull),
                 Err(TrySendError::Disconnected(_)) => Err(ServiceError::Shutdown),
             },
             None => Err(ServiceError::Shutdown),
         }
-    }
-
-    /// Submit and wait on the default database: the blocking request path.
-    pub fn query(&self, plan: Plan) -> Result<Served, ServiceError> {
-        self.submit(plan).wait()
     }
 
     /// Submit and wait against the database addressed by `digest`.
@@ -825,15 +747,12 @@ impl ProvingService {
         }
     }
 
-    /// A *consistent* snapshot for the info advertisement: the default
-    /// digest and every hosted database's table metadata + counters, read
-    /// under one registry lock so the default always names an advertised
-    /// database.
-    pub fn info_snapshot(&self) -> (Option<[u8; 64]>, Vec<DatabaseSnapshot>) {
+    /// A *consistent* snapshot for the info advertisement: every hosted
+    /// database's table metadata + counters, read under one registry lock.
+    pub fn info_snapshot(&self) -> Vec<DatabaseSnapshot> {
         let registry = self.shared.registry.read().expect("registry lock");
-        let default_digest = registry.default_digest();
         let stats = self.collect_database_stats(&registry);
-        let snapshots = registry
+        registry
             .entries()
             .zip(stats)
             .map(|(entry, stats)| {
@@ -846,8 +765,7 @@ impl ProvingService {
                 tables.sort_by(|a, b| a.0.cmp(&b.0));
                 DatabaseSnapshot { tables, stats }
             })
-            .collect();
-        (default_digest, snapshots)
+            .collect()
     }
 
     /// Per-database counters for every registered entry, with cached-proof
@@ -1044,6 +962,13 @@ mod tests {
         db
     }
 
+    /// A service hosting one database, and the digest that addresses it.
+    fn host(db: Database, config: ServiceConfig) -> (ProvingService, [u8; 64]) {
+        let service = ProvingService::empty(IpaParams::setup(11), config);
+        let digest = service.attach(db);
+        (service, digest)
+    }
+
     fn filter_plan(bound: i64) -> Plan {
         Plan::Filter {
             input: Box::new(Plan::Scan { table: "t".into() }),
@@ -1057,17 +982,16 @@ mod tests {
 
     #[test]
     fn serves_and_caches() {
-        let service = ProvingService::new(
-            IpaParams::setup(11),
+        let (service, digest) = host(
             tiny_db(),
             ServiceConfig {
                 workers: 2,
                 ..ServiceConfig::default()
             },
         );
-        let first = service.query(filter_plan(20)).expect("first");
+        let first = service.query_on(&digest, filter_plan(20)).expect("first");
         assert!(!first.cache_hit);
-        let second = service.query(filter_plan(20)).expect("second");
+        let second = service.query_on(&digest, filter_plan(20)).expect("second");
         assert!(second.cache_hit);
         assert_eq!(first.response, second.response);
 
@@ -1081,7 +1005,10 @@ mod tests {
         assert_eq!(stats.databases[0].cached_proofs, 1);
 
         // The cached response still verifies from public information.
-        let verifier = VerifierSession::new(service.params().clone(), service.shape());
+        let verifier = VerifierSession::new(
+            service.params().clone(),
+            service.shape_of(&digest).expect("shape"),
+        );
         let verified = verifier
             .verify(&filter_plan(20), &second.response)
             .expect("verify");
@@ -1090,8 +1017,7 @@ mod tests {
 
     #[test]
     fn semantically_equal_plans_share_a_cache_entry() {
-        let service =
-            ProvingService::new(IpaParams::setup(11), tiny_db(), ServiceConfig::default());
+        let (service, digest) = host(tiny_db(), ServiceConfig::default());
         let a = Plan::Filter {
             input: Box::new(Plan::Scan { table: "t".into() }),
             predicates: vec![
@@ -1122,14 +1048,17 @@ mod tests {
                 },
             ],
         };
-        assert!(!service.query(a.clone()).expect("a").cache_hit);
-        let shared = service.query(b.clone()).expect("b");
+        assert!(!service.query_on(&digest, a.clone()).expect("a").cache_hit);
+        let shared = service.query_on(&digest, b.clone()).expect("b");
         assert!(shared.cache_hit);
         assert_eq!(service.stats().proofs_generated, 1);
 
         // The shared proof is of the canonical plan; a verifier session
         // canonicalizes internally, so *both* spellings verify.
-        let verifier = VerifierSession::new(service.params().clone(), service.shape());
+        let verifier = VerifierSession::new(
+            service.params().clone(),
+            service.shape_of(&digest).expect("shape"),
+        );
         for plan in [a, b] {
             let verified = verifier
                 .verify(&plan, &shared.response)
@@ -1140,8 +1069,7 @@ mod tests {
 
     #[test]
     fn prover_threads_flow_from_config_to_sessions() {
-        let service = ProvingService::new(
-            IpaParams::setup(11),
+        let (service, digest) = host(
             tiny_db(),
             ServiceConfig {
                 prover_threads: 3,
@@ -1152,7 +1080,6 @@ mod tests {
         assert_eq!(service.stats().prover_threads, 3);
         // Sessions created by attach — and by the mutation path's
         // successor swap — inherit the budget.
-        let digest = service.digest();
         let stats = service
             .append_rows(&digest, "t", vec![vec![5, 50]])
             .expect("append");
@@ -1161,26 +1088,27 @@ mod tests {
             .expect("proves under explicit budget");
         assert_eq!(served.response.result.len(), 4);
         // `0` resolves to a concrete budget rather than staying zero.
-        let auto = ProvingService::new(IpaParams::setup(11), tiny_db(), ServiceConfig::default());
+        let (auto, _) = host(tiny_db(), ServiceConfig::default());
         assert!(auto.stats().prover_threads >= 1);
     }
 
     #[test]
     fn session_stats_report_prover_stage_times() {
-        let service =
-            ProvingService::new(IpaParams::setup(11), tiny_db(), ServiceConfig::default());
-        service.query(filter_plan(20)).expect("prove");
+        let (service, digest) = host(tiny_db(), ServiceConfig::default());
+        service.query_on(&digest, filter_plan(20)).expect("prove");
         let registry = service.shared.registry.read().expect("registry");
-        let entry = registry.default_entry().expect("entry");
+        let entry = registry.get(&digest).expect("entry");
         let stats = entry.session.stats();
         assert!(stats.commit_nanos > 0, "commit stage was timed");
         assert!(stats.quotient_nanos > 0, "quotient stage was timed");
         assert!(stats.open_nanos > 0, "open stage was timed");
         // Monotone: a second (cache-missing) proof only grows them.
         drop(registry);
-        service.query(filter_plan(25)).expect("second prove");
+        service
+            .query_on(&digest, filter_plan(25))
+            .expect("second prove");
         let registry = service.shared.registry.read().expect("registry");
-        let after = registry.default_entry().expect("entry").session.stats();
+        let after = registry.get(&digest).expect("entry").session.stats();
         assert!(after.commit_nanos >= stats.commit_nanos);
         assert!(after.quotient_nanos >= stats.quotient_nanos);
         assert!(after.open_nanos >= stats.open_nanos);
@@ -1188,33 +1116,26 @@ mod tests {
 
     #[test]
     fn bad_query_reports_error_not_panic() {
-        let service =
-            ProvingService::new(IpaParams::setup(11), tiny_db(), ServiceConfig::default());
+        let (service, digest) = host(tiny_db(), ServiceConfig::default());
         let missing = Plan::Scan {
             table: "nope".into(),
         };
-        match service.query(missing) {
+        match service.query_on(&digest, missing) {
             Err(ServiceError::Prove(_)) => {}
             other => panic!("expected prove error, got {other:?}"),
         }
         // The failure is not cached; the service keeps running.
         assert_eq!(service.stats().proofs_generated, 1);
-        assert!(service.query(filter_plan(20)).is_ok());
+        assert!(service.query_on(&digest, filter_plan(20)).is_ok());
     }
 
     #[test]
     fn multi_database_attach_detach() {
         let service = ProvingService::empty(IpaParams::setup(11), ServiceConfig::default());
-        assert!(matches!(
-            service.query(filter_plan(20)),
-            Err(ServiceError::NoDatabase)
-        ));
-
         let d1 = service.attach(tiny_db());
         let d2 = service.attach(other_db());
         assert_ne!(d1, d2);
         assert_eq!(service.digests().len(), 2);
-        assert_eq!(service.default_digest(), Some(d1));
 
         // Same plan, different databases: different proofs, both correct.
         let r1 = service.query_on(&d1, filter_plan(20)).expect("db1");
@@ -1247,16 +1168,26 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.databases.len(), 1);
         assert_eq!(stats.databases[0].digest, d2);
-        // The default fell back to the remaining database.
-        assert_eq!(service.default_digest(), Some(d2));
+        // Detaching the first-attached database leaves the other one
+        // addressable and advertised, alone.
+        let r2_again = service
+            .query_on(&d2, filter_plan(20))
+            .expect("db2 after detach");
+        assert!(r2_again.cache_hit);
+        let advertised: Vec<_> = crate::server_info(&service)
+            .databases
+            .iter()
+            .map(|d| d.digest)
+            .collect();
+        assert_eq!(advertised, vec![d2]);
     }
 
     #[test]
     fn reattach_replaces_entry_and_keeps_cached_proofs() {
-        let service =
-            ProvingService::new(IpaParams::setup(11), tiny_db(), ServiceConfig::default());
-        let digest = service.digest();
-        service.query(filter_plan(20)).expect("prove once");
+        let (service, digest) = host(tiny_db(), ServiceConfig::default());
+        service
+            .query_on(&digest, filter_plan(20))
+            .expect("prove once");
         assert_eq!(service.stats().databases[0].proofs_generated, 1);
 
         // Re-attach with PK metadata: same digest, fresh entry.
@@ -1271,7 +1202,7 @@ mod tests {
         // The proof cached before the re-attach still serves: same
         // committed state, same (digest, fingerprint) key.
         let served = service
-            .query(filter_plan(20))
+            .query_on(&digest, filter_plan(20))
             .expect("query after re-attach");
         assert!(served.cache_hit);
     }
@@ -1337,9 +1268,6 @@ mod tests {
         assert_eq!(svc_stats.mutations, 1);
         assert_eq!(svc_stats.rows_appended, 2);
 
-        // The default followed the lineage (d1 was the first attach).
-        assert_eq!(service.default_digest(), Some(stats.new_digest));
-
         // A second append chains onto the new digest.
         let stats2 = service
             .append_rows(&stats.new_digest, "t", vec![vec![7, 70]])
@@ -1351,9 +1279,7 @@ mod tests {
 
     #[test]
     fn append_rejections_change_nothing() {
-        let service =
-            ProvingService::new(IpaParams::setup(11), tiny_db(), ServiceConfig::default());
-        let digest = service.digest();
+        let (service, digest) = host(tiny_db(), ServiceConfig::default());
 
         assert!(matches!(
             service.append_rows(&[9u8; 64], "t", vec![vec![1, 2]]),
@@ -1383,15 +1309,14 @@ mod tests {
     #[test]
     fn in_flight_query_completes_against_retained_snapshot() {
         let params = IpaParams::setup(11);
-        let service = ProvingService::new(
+        let service = ProvingService::empty(
             params.clone(),
-            tiny_db(),
             ServiceConfig {
                 workers: 1,
                 ..ServiceConfig::default()
             },
         );
-        let d1 = service.digest();
+        let d1 = service.attach(tiny_db());
         let old_shape = service.shape_of(&d1).expect("shape");
 
         // Submit resolves the entry Arc *now*; the append below swaps the
@@ -1428,32 +1353,45 @@ mod tests {
     fn byte_budget_bounds_the_proof_cache() {
         // A 1-byte budget rejects every response: identical queries must
         // re-prove (nothing fits), and the byte accounting stays at zero.
-        let service = ProvingService::new(
-            IpaParams::setup(11),
+        let (service, digest) = host(
             tiny_db(),
             ServiceConfig {
                 cache_bytes: 1,
                 ..ServiceConfig::default()
             },
         );
-        assert!(!service.query(filter_plan(20)).expect("first").cache_hit);
-        assert!(!service.query(filter_plan(20)).expect("second").cache_hit);
+        assert!(
+            !service
+                .query_on(&digest, filter_plan(20))
+                .expect("first")
+                .cache_hit
+        );
+        assert!(
+            !service
+                .query_on(&digest, filter_plan(20))
+                .expect("second")
+                .cache_hit
+        );
         let stats = service.stats();
         assert_eq!(stats.proofs_generated, 2);
         assert_eq!(stats.cache_bytes, 0);
         assert_eq!(stats.databases[0].cached_proofs, 0);
 
         // A generous budget caches normally and reports the bytes held.
-        let service = ProvingService::new(
-            IpaParams::setup(11),
+        let (service, digest) = host(
             tiny_db(),
             ServiceConfig {
                 cache_bytes: 64 << 20,
                 ..ServiceConfig::default()
             },
         );
-        let first = service.query(filter_plan(20)).expect("first");
-        assert!(service.query(filter_plan(20)).expect("second").cache_hit);
+        let first = service.query_on(&digest, filter_plan(20)).expect("first");
+        assert!(
+            service
+                .query_on(&digest, filter_plan(20))
+                .expect("second")
+                .cache_hit
+        );
         let stats = service.stats();
         assert_eq!(stats.proofs_generated, 1);
         assert_eq!(
@@ -1465,13 +1403,14 @@ mod tests {
 
     #[test]
     fn sql_over_the_service() {
-        let service =
-            ProvingService::new(IpaParams::setup(11), tiny_db(), ServiceConfig::default());
-        let digest = service.digest();
+        let (service, digest) = host(tiny_db(), ServiceConfig::default());
         let (plan, served) = service
             .query_sql(&digest, "SELECT id, val FROM t WHERE val >= 20")
             .expect("sql query");
-        let verifier = VerifierSession::new(service.params().clone(), service.shape());
+        let verifier = VerifierSession::new(
+            service.params().clone(),
+            service.shape_of(&digest).expect("shape"),
+        );
         let verified = verifier.verify(&plan, &served.response).expect("verify");
         assert_eq!(verified.len(), 3);
 

@@ -1,6 +1,6 @@
 //! Query service: a long-lived prover hosting *two* committed databases,
-//! serving concurrent clients over TCP — protocol v2 with digest
-//! addressing and SQL-over-the-wire.
+//! serving concurrent clients over TCP with digest addressing and
+//! SQL-over-the-wire.
 //!
 //! ```sh
 //! cargo run --release --example query_service
@@ -13,8 +13,9 @@
 //! clients verify every response from public information only through a
 //! cached per-database verifier session.
 
+use poneglyphdb::par::par_map;
 use poneglyphdb::prelude::*;
-use poneglyphdb::service::digest_hex;
+use poneglyphdb::service::{digest_hex, PROTOCOL_VERSION};
 use poneglyphdb::sql::{
     AggFunc, Aggregate, CmpOp, ColumnType, Predicate, ScalarExpr, Schema, Table,
 };
@@ -94,7 +95,7 @@ fn main() {
     let server = poneglyphdb::service::ServiceServer::spawn(Arc::clone(&service), "127.0.0.1:0")
         .expect("bind");
     let addr = server.local_addr();
-    println!("listening on {addr} (protocol v2)");
+    println!("listening on {addr} (protocol v{PROTOCOL_VERSION})");
 
     // Client side: three concurrent analysts against the orders database.
     // Two ask the same question — the service proves it once and serves
@@ -105,24 +106,18 @@ fn main() {
         revenue_by_region(20_000),
     ];
     let start = Instant::now();
-    std::thread::scope(|scope| {
-        for (i, plan) in queries.iter().enumerate() {
-            let params = &params;
-            let digest = &d_orders;
-            scope.spawn(move || {
-                let t0 = Instant::now();
-                let mut client = ServiceClient::connect(addr).expect("connect");
-                let (result, cache_hit) = client
-                    .query_verified_on(params, digest, plan)
-                    .expect("query + verify");
-                println!(
-                    "analyst {i}: verified {} group(s) in {:?}{}",
-                    result.len(),
-                    t0.elapsed(),
-                    if cache_hit { " (cache hit)" } else { "" }
-                );
-            });
-        }
+    par_map(Parallelism::new(queries.len()), &queries, |i, plan| {
+        let t0 = Instant::now();
+        let mut client = ServiceClient::connect(addr).expect("connect");
+        let (result, cache_hit) = client
+            .query_verified_on(&params, &d_orders, plan)
+            .expect("query + verify");
+        println!(
+            "analyst {i}: verified {} group(s) in {:?}{}",
+            result.len(),
+            t0.elapsed(),
+            if cache_hit { " (cache hit)" } else { "" }
+        );
     });
 
     // SQL over the wire: the auditor sends *text* against the payroll

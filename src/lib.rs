@@ -55,8 +55,6 @@ pub mod prelude {
         DatabaseCommitment, DeltaLog, MutationError, Parallelism, ProverSession, QueryResponse,
         RowBatch, SessionStats, VerifierSession,
     };
-    #[allow(deprecated)] // one-shot wrappers: kept importable through 0.2
-    pub use poneglyph_core::{prove_query, verify_query};
     pub use poneglyph_pcs::IpaParams;
     pub use poneglyph_service::{ProvingService, ServiceClient, ServiceConfig, ServiceServer};
     pub use poneglyph_sql::{

@@ -200,57 +200,54 @@ fn session_key_caches_are_bounded() {
 #[test]
 fn append_over_tcp_with_concurrent_pre_append_query() {
     let params = IpaParams::setup(11);
-    let service = Arc::new(ProvingService::new(
+    let service = Arc::new(ProvingService::empty(
         params.clone(),
-        query_db(),
         ServiceConfig {
             workers: 1, // serialize proving: the pre-append job holds the worker
             ..ServiceConfig::default()
         },
     ));
-    let d0 = service.digest();
+    let d0 = service.attach(query_db());
     let old_shape = service.shape_of(&d0).expect("old shape");
     let server = ServiceServer::spawn(Arc::clone(&service), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
 
-    let (old_result, appended) = std::thread::scope(|scope| {
-        // A fresh (never-cached) query against the original digest, on its
-        // own connection: it must actually prove.
-        let pre_append = scope.spawn(|| {
-            let mut client = ServiceClient::connect(addr).expect("connect");
-            client
-                .query_on(&d0, &filter_plan(20))
-                .expect("pre-append query")
-        });
-
-        // Wait until the worker has *started* that proof (the cache-miss
-        // counter ticks before proving begins), so the append below is
-        // genuinely concurrent with it.
-        while service.stats().cache_misses == 0 {
-            std::thread::yield_now();
-        }
-
-        let mut writer = ServiceClient::connect(addr).expect("connect");
-        let ack = writer
-            .append_rows(&d0, "t", &[vec![5, 50], vec![6, 60]])
-            .expect("append over TCP");
-        assert_ne!(ack.new_digest, d0);
-        assert_eq!(ack.epoch, 1);
-        assert_eq!(ack.appended_rows, 2);
-
-        // Immediately query the successor digest — SQL over the wire,
-        // verified against the advertised (grown) shape.
-        let (table, _, _) = writer
-            .query_verified_sql(
-                &params,
-                &ack.new_digest,
-                "SELECT id, val FROM t WHERE val >= 20",
-            )
-            .expect("post-append verified query");
-        assert_eq!(table.len(), 5, "3 original matches + 2 appended rows");
-
-        (pre_append.join().expect("pre-append thread"), ack)
+    // A fresh (never-cached) query against the original digest, on its
+    // own connection and thread: it must actually prove.
+    let pre_append = std::thread::spawn(move || {
+        let mut client = ServiceClient::connect(addr).expect("connect");
+        client
+            .query_on(&d0, &filter_plan(20))
+            .expect("pre-append query")
     });
+
+    // Wait until the worker has *started* that proof (the cache-miss
+    // counter ticks before proving begins), so the append below is
+    // genuinely concurrent with it.
+    while service.stats().cache_misses == 0 {
+        std::thread::yield_now();
+    }
+
+    let mut writer = ServiceClient::connect(addr).expect("connect");
+    let appended = writer
+        .append_rows(&d0, "t", &[vec![5, 50], vec![6, 60]])
+        .expect("append over TCP");
+    assert_ne!(appended.new_digest, d0);
+    assert_eq!(appended.epoch, 1);
+    assert_eq!(appended.appended_rows, 2);
+
+    // Immediately query the successor digest — SQL over the wire,
+    // verified against the advertised (grown) shape.
+    let (table, _, _) = writer
+        .query_verified_sql(
+            &params,
+            &appended.new_digest,
+            "SELECT id, val FROM t WHERE val >= 20",
+        )
+        .expect("post-append verified query");
+    assert_eq!(table.len(), 5, "3 original matches + 2 appended rows");
+
+    let old_result = pre_append.join().expect("pre-append thread");
 
     // The pre-append response is for the *old* state and verifies under
     // the old shape (epoch-style snapshot retention).

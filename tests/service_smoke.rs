@@ -1,11 +1,16 @@
 //! End-to-end service smoke test: a proving service on an ephemeral TCP
 //! port, concurrent clients, proof verification from public info only, and
 //! the cache-hit guarantee (the second identical query never re-proves,
-//! asserted via the service's prove counter). Covers the v2 protocol
-//! (digest addressing, SQL-over-the-wire) and the legacy v1 path behind
-//! the deprecated wrappers.
+//! asserted via the service's prove counter). Covers digest addressing,
+//! SQL-over-the-wire, and what the server does with a frame tag it does
+//! not know.
 
+use poneglyphdb::par::par_map;
 use poneglyphdb::prelude::*;
+use poneglyphdb::service::protocol::{
+    decode_sql_response, encode_sql_request, read_frame, write_frame, REQ_METRICS, REQ_SQL,
+    RESP_ERR, RESP_METRICS, RESP_SQL,
+};
 use poneglyphdb::service::ServiceServer;
 use poneglyphdb::sql::{CmpOp, ColumnType, Predicate, Schema, Table};
 use std::sync::Arc;
@@ -77,37 +82,33 @@ fn reordered_two_pred_plan(flip: bool) -> Plan {
     }
 }
 
+/// A service hosting `test_db()` alone, and the digest that addresses it.
+fn host(params: &IpaParams, config: ServiceConfig) -> (Arc<ProvingService>, [u8; 64]) {
+    let service = Arc::new(ProvingService::empty(params.clone(), config));
+    let digest = service.attach(test_db());
+    (service, digest)
+}
+
 #[test]
 fn concurrent_clients_over_tcp_share_one_proof() {
     let params = IpaParams::setup(11);
-    let service = Arc::new(ProvingService::new(
-        params.clone(),
-        test_db(),
+    let (service, digest) = host(
+        &params,
         ServiceConfig {
             workers: 2,
             ..ServiceConfig::default()
         },
-    ));
-    let digest = service.digest();
+    );
     let server = ServiceServer::spawn(Arc::clone(&service), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
 
     // The same query from two threads at once: in-flight deduplication
     // means exactly one proof is generated, and both responses verify.
-    let results: Vec<(Table, bool)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let params = &params;
-                let digest = &digest;
-                scope.spawn(move || {
-                    let mut client = ServiceClient::connect(addr).expect("connect");
-                    client
-                        .query_verified_on(params, digest, &query_plan())
-                        .expect("query + verify")
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    let results: Vec<(Table, bool)> = par_map(Parallelism::new(2), &[(); 2], |_, _| {
+        let mut client = ServiceClient::connect(addr).expect("connect");
+        client
+            .query_verified_on(&params, &digest, &query_plan())
+            .expect("query + verify")
     });
 
     let expected = poneglyphdb::sql::execute(&test_db(), &query_plan())
@@ -167,7 +168,7 @@ fn concurrent_clients_over_tcp_share_one_proof() {
 }
 
 #[test]
-fn protocol_v2_sql_and_multi_db_round_trip() {
+fn sql_and_multi_db_round_trip() {
     let params = IpaParams::setup(11);
     let service = Arc::new(ProvingService::empty(
         params.clone(),
@@ -185,8 +186,7 @@ fn protocol_v2_sql_and_multi_db_round_trip() {
     let info = client.info().expect("info");
     assert_eq!(info.protocol, poneglyphdb::service::PROTOCOL_VERSION);
     assert_eq!(info.databases.len(), 2);
-    assert_eq!(info.default_digest, Some(d1));
-    assert!(info.database(&d2).is_some());
+    assert!(info.database(&d1).is_some() && info.database(&d2).is_some());
 
     // SQL text against a named digest: the server plans it, the client
     // verifies the response against the echoed canonical plan.
@@ -227,37 +227,21 @@ fn protocol_v2_sql_and_multi_db_round_trip() {
     assert_eq!(db1.proofs_generated, 1);
     assert_eq!(db2.proofs_generated, 1);
 
-    server.stop();
-}
-
-#[test]
-fn legacy_v1_plan_queries_still_served() {
-    // The deprecated single-database client path (bare REQ_QUERY frames,
-    // no digest) keeps working against the default database.
-    #![allow(deprecated)]
-    let params = IpaParams::setup(11);
-    let service = Arc::new(ProvingService::new(
-        params.clone(),
-        test_db(),
-        ServiceConfig::default(),
+    // Detaching the first-attached database leaves the other addressable,
+    // and REQ_INFO lists exactly what remains.
+    assert!(service.detach(&d1));
+    let info = client.info().expect("info after detach");
+    let advertised: Vec<_> = info.databases.iter().map(|d| d.digest).collect();
+    assert_eq!(advertised, vec![d2]);
+    let (again, _, cache_hit) = client
+        .query_verified_sql(&params, &d2, sql)
+        .expect("d2 after detach");
+    assert_eq!(again, result2);
+    assert!(cache_hit, "d2's cached proof survives d1's detach");
+    assert!(matches!(
+        client.query_sql(&d1, sql),
+        Err(poneglyphdb::service::ClientError::Server(_))
     ));
-    let server = ServiceServer::spawn(Arc::clone(&service), "127.0.0.1:0").expect("bind");
-    let mut client = ServiceClient::connect(server.local_addr()).expect("connect");
-
-    let (table, cache_hit) = client
-        .query_verified(&params, &query_plan())
-        .expect("legacy query + verify");
-    let expected = poneglyphdb::sql::execute(&test_db(), &query_plan())
-        .unwrap()
-        .output;
-    assert_eq!(table, expected);
-    assert!(!cache_hit);
-
-    // The deprecated core wrappers agree with the session result.
-    let wire = client.query(&query_plan()).expect("legacy raw query");
-    let verified = verify_query(&params, &service.shape(), &query_plan(), &wire.response)
-        .expect("deprecated verify_query");
-    assert_eq!(verified, expected);
 
     server.stop();
 }
@@ -277,17 +261,52 @@ fn scrape_value(text: &str, name: &str, frags: &[&str]) -> f64 {
 }
 
 #[test]
+fn unknown_frame_tag_is_refused_counted_and_survivable() {
+    // 0x02 was the bare-plan query of protocol v1..v4; v5 has no such
+    // frame, so it gets the answer any unknown tag gets.
+    let params = IpaParams::setup(11);
+    let (service, digest) = host(&params, ServiceConfig::default());
+    let server = ServiceServer::spawn(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    let mut exchange = |tag: u8, payload: &[u8]| {
+        write_frame(&mut stream, tag, payload).expect("write");
+        read_frame(&mut stream).expect("read").expect("a frame")
+    };
+    let unknown_count = |scrape: (u8, Vec<u8>)| {
+        assert_eq!(scrape.0, RESP_METRICS);
+        let text = String::from_utf8(scrape.1).expect("utf-8 metrics");
+        scrape_value(&text, "poneglyph_requests_total", &["kind=\"unknown\""])
+    };
+
+    let before = unknown_count(exchange(REQ_METRICS, &[]));
+    let plan_bytes = poneglyphdb::sql::plan_to_bytes(&query_plan());
+    let (tag, body) = exchange(0x02, &plan_bytes);
+    assert_eq!(tag, RESP_ERR);
+    assert_eq!(String::from_utf8_lossy(&body), "unknown request type 0x02");
+    let after = unknown_count(exchange(REQ_METRICS, &[]));
+    assert!(after >= before + 1.0, "{before} -> {after}");
+
+    // The same connection still serves a real request, correctly.
+    let sql = "SELECT id, val FROM t WHERE val >= 20";
+    let (tag, body) = exchange(REQ_SQL, &encode_sql_request(&digest, sql));
+    assert_eq!(tag, RESP_SQL);
+    let (cache_hit, plan, response) = decode_sql_response(&body).expect("decode");
+    assert!(!cache_hit);
+    let verifier = VerifierSession::new(params, service.shape_of(&digest).expect("shape"));
+    let verified = verifier.verify(&plan, &response).expect("verify");
+    assert_eq!(verified.len(), 5);
+    assert_eq!(service.stats().proofs_generated, 1, "only the SQL proved");
+
+    server.stop();
+}
+
+#[test]
 fn metrics_scrapes_stay_monotone_across_requests() {
     // Two scrapes bracketing a proved query plus a cached repeat: every
     // core counter series is non-decreasing, and the ones the traffic must
     // move (requests, proofs, hits) strictly increase.
     let params = IpaParams::setup(11);
-    let service = Arc::new(ProvingService::new(
-        params.clone(),
-        test_db(),
-        ServiceConfig::default(),
-    ));
-    let digest = service.digest();
+    let (service, digest) = host(&params, ServiceConfig::default());
     let server = ServiceServer::spawn(Arc::clone(&service), "127.0.0.1:0").expect("bind");
     let mut client = ServiceClient::connect(server.local_addr()).expect("connect");
 
@@ -339,12 +358,7 @@ fn metrics_scrapes_stay_monotone_across_requests() {
 #[test]
 fn server_reports_clean_errors_for_bad_requests() {
     let params = IpaParams::setup(11);
-    let service = Arc::new(ProvingService::new(
-        params.clone(),
-        test_db(),
-        ServiceConfig::default(),
-    ));
-    let digest = service.digest();
+    let (service, digest) = host(&params, ServiceConfig::default());
     let server = ServiceServer::spawn(Arc::clone(&service), "127.0.0.1:0").expect("bind");
     let mut client = ServiceClient::connect(server.local_addr()).expect("connect");
 
@@ -367,7 +381,7 @@ fn server_reports_clean_errors_for_bad_requests() {
 
     // The same connection still answers good queries afterwards.
     let info = client.info().expect("info after error");
-    assert_eq!(info.default_digest, Some(service.digest()));
+    assert!(info.database(&digest).is_some());
     let wire = client.query_on(&digest, &query_plan()).expect("good query");
     assert!(!wire.response.result.is_empty());
 }

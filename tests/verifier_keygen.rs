@@ -36,18 +36,14 @@ fn verification_performs_no_prover_keygen() {
     let response = prover.prove(&plan, &mut rng).expect("prove");
 
     // From here on, nothing may build prover tables (extended cosets,
-    // σ/fixed polynomial forms): verification routes through keygen_vk.
+    // σ/fixed polynomial forms): verification routes through
+    // keygen_vk_with.
     let pk0 = instrument::pk_keygens();
     let vk0 = instrument::vk_keygens();
 
     let shape = database_shape(&db);
-    let verifier = VerifierSession::new(params.clone(), shape.clone());
+    let verifier = VerifierSession::new(params, shape);
     let verified = verifier.verify(&plan, &response).expect("session verify");
-    assert_eq!(verified, response.result);
-
-    // The deprecated one-shot wrapper routes through the same path.
-    #[allow(deprecated)]
-    let verified = verify_query(&params, &shape, &plan, &response).expect("wrapper verify");
     assert_eq!(verified, response.result);
 
     // And batch verification too.
@@ -62,7 +58,7 @@ fn verification_performs_no_prover_keygen() {
     );
     assert_eq!(
         instrument::vk_keygens(),
-        vk0 + 2,
-        "session (cached across verify+batch) + wrapper = two vk keygens"
+        vk0 + 1,
+        "one vk keygen, cached across verify + batch"
     );
 }
