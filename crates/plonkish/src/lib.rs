@@ -260,6 +260,12 @@ mod tests {
         verify(&params, &pk.vk, &instance, &back).expect("verify deserialized");
     }
 
+    /// BLAKE2b of the serial toy proof (k = 5, 8 rows, seed 4242).
+    const PINNED_TOY_PROOF_DIGEST: &str = concat!(
+        "3e06b9f893890d10a16fc00cee04ba5f4d8dc203e8cfe1b8696ab45c390f93be",
+        "da52b6f4c0d7f8328b5f66cb4ae1e1625506bb19eb5b8f885d52b096628cdb9a",
+    );
+
     #[test]
     fn proof_bytes_identical_at_every_thread_count() {
         let toy = toy_cs();
@@ -281,6 +287,14 @@ mod tests {
         .expect("serial prove")
         .0
         .to_bytes();
+        // Cross-commit pin: a refactor must reproduce these exact bytes. Only
+        // a deliberate protocol change re-records the digest.
+        let digest: String = poneglyph_hash::blake2b(&reference)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        println!("pinned proof digest (plonkish toy): {digest}");
+        assert_eq!(digest, PINNED_TOY_PROOF_DIGEST, "serial toy proof bytes");
         for threads in [2usize, 3, 8] {
             let par = Parallelism::new(threads);
             let pk = keygen_pk_with(&params, &toy.cs, &toy_assignment(&toy, k, 8, None), par);

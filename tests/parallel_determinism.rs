@@ -38,6 +38,13 @@ fn plan() -> Plan {
     }
 }
 
+/// BLAKE2b of the 1-thread response bytes for [`plan`] over `generate(24)`
+/// at k = 11, seed `0xdead_beef`.
+const PINNED_RESPONSE_DIGEST: &str = concat!(
+    "9a153531181eedc5bb10eba5a621e5d59333795b43ce1f48ab98ea0af091a145",
+    "ca7010b236b6a134f3deafce35fff0892bb262250d1bfd09b93192e337bd108d",
+);
+
 #[test]
 fn proof_bytes_identical_at_1_2_and_8_threads() {
     let db = generate(24);
@@ -58,6 +65,14 @@ fn proof_bytes_identical_at_1_2_and_8_threads() {
     }
 
     let reference = responses[0].1.to_bytes();
+    // Cross-commit pin: a refactor must reproduce these exact bytes. Only a
+    // deliberate protocol change re-records the digest (in its own commit).
+    let digest: String = poneglyph_hash::blake2b(&reference)
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    println!("pinned proof digest (parallel_determinism): {digest}");
+    assert_eq!(digest, PINNED_RESPONSE_DIGEST, "1-thread response bytes");
     for (threads, response) in &responses {
         assert_eq!(
             response.to_bytes(),
