@@ -17,7 +17,7 @@
 //! | [`Detector::UnconstrainedAdvice`] | Deny | advice columns no active gate, lookup, shuffle or anchored copy chain touches — a prover can put anything there |
 //! | [`Detector::DeadColumn`] | Warn/Deny | unused fixed columns (cost), unbound instance columns (ignored public input — Deny), dangling column indices (Deny) |
 //! | [`Detector::DuplicateConstraint`] | Warn | structurally identical gate polynomials / lookups / shuffles (wasted quotient work, copy-paste smell) |
-//! | [`Detector::DegreeBound`] | Warn/Deny | gate/lookup/shuffle degrees beyond the quotient extension the domain provides, or beyond the field's 2-adicity at the given `k` |
+//! | [`Detector::DegreeBound`] | Warn/Deny | identity degrees (read off `plonkish::identities`, per gate poly / permutation chunk / lookup / shuffle) beyond the quotient extension the domain provides, or beyond the field's 2-adicity at the given `k` |
 //! | [`Detector::RotationRange`] | Deny | queries whose rotation escapes the usable-row region into the blinding rows on some active row |
 //! | [`Detector::TrivialGate`] | Deny | constraints that are identically zero on every usable row (a selector never set, a vacuous lookup) — they look like protection and prove nothing |
 //! | [`Detector::LookupShape`] | Deny | arity mismatches, empty arguments, fixed tables that cover only the zero tuple, ungated inputs whose zero rows the table cannot absorb |
@@ -28,8 +28,8 @@
 
 use poneglyph_arith::PrimeField;
 use poneglyph_plonkish::{
-    Assignment, Cell, Column, ColumnKind, ConstraintSystem, Expression, BLINDING_ROWS,
-    PERMUTATION_CHUNK,
+    identities, Assignment, Cell, Column, ColumnKind, ConstraintSystem, Expression, Origin,
+    BLINDING_ROWS,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -364,7 +364,7 @@ fn skeleton<F: PrimeField>(e: &Expression<F>, fixed: &[Vec<F>], n: usize, row: u
                 // Dangling index: reported by the dead-column detector.
                 None => Sk::Unknown,
             },
-            ColumnKind::Advice | ColumnKind::Instance => Sk::Unknown,
+            _ => Sk::Unknown,
         },
         Expression::Negated(inner) => match skeleton(inner, fixed, n, row) {
             Sk::Known(v) => Sk::Known(F::ZERO - v),
@@ -487,12 +487,7 @@ impl Collector<'_> {
 }
 
 fn column_subject(c: Column) -> String {
-    let kind = match c.kind {
-        ColumnKind::Fixed => "fixed",
-        ColumnKind::Advice => "advice",
-        ColumnKind::Instance => "instance",
-    };
-    format!("{kind}[{}]", c.index)
+    format!("{:?}[{}]", c.kind, c.index).to_lowercase()
 }
 
 /// Column-usage markers built up while walking every constraint.
@@ -504,25 +499,23 @@ struct Usage {
 
 impl Usage {
     fn mark(&mut self, c: Column, out: &mut Collector<'_>, subject: &str) {
-        let slot = match c.kind {
-            ColumnKind::Fixed => self.fixed.get_mut(c.index),
-            ColumnKind::Advice => self.advice.get_mut(c.index),
-            ColumnKind::Instance => self.instance.get_mut(c.index),
+        // A circuit may only name its own three kinds of column.
+        let slots: &mut [bool] = match c.kind {
+            ColumnKind::Fixed => &mut self.fixed,
+            ColumnKind::Advice => &mut self.advice,
+            ColumnKind::Instance => &mut self.instance,
+            _ => &mut [],
         };
-        match slot {
+        let allocated = slots.len();
+        match slots.get_mut(c.index) {
             Some(s) => *s = true,
             None => out.push(Finding {
                 detector: Detector::DeadColumn,
                 severity: Severity::Deny,
                 subject: subject.to_string(),
                 detail: format!(
-                    "query references nonexistent column {} (only {} allocated)",
+                    "query references nonexistent column {} (only {allocated} allocated)",
                     column_subject(c),
-                    match c.kind {
-                        ColumnKind::Fixed => self.fixed.len(),
-                        ColumnKind::Advice => self.advice.len(),
-                        ColumnKind::Instance => self.instance.len(),
-                    }
                 ),
                 column: Some(c),
                 rotation: None,
@@ -676,35 +669,6 @@ pub fn analyze<F: PrimeField>(
         for (pi, poly) in gate.polys.iter().enumerate() {
             let subject = format!("gate[{}@{gi}]#{pi}", gate.name);
 
-            // Degree audit: +1 for the implicit active-row gate the
-            // quotient argument multiplies in.
-            let degree = poly.degree() + 1;
-            if let Some(qd) = view.quotient_degree {
-                if degree > qd {
-                    out.report(
-                        Detector::DegreeBound,
-                        Severity::Deny,
-                        subject.clone(),
-                        format!(
-                            "gated degree {degree} exceeds the quotient extension degree {qd} \
-                             the domain provides — the quotient polynomial cannot represent \
-                             this constraint"
-                        ),
-                    );
-                }
-            }
-            if degree > warn_degree {
-                out.report(
-                    Detector::DegreeBound,
-                    Severity::Warn,
-                    subject.clone(),
-                    format!(
-                        "gated degree {degree} exceeds the review threshold {warn_degree}; \
-                         every unit of degree multiplies quotient FFT work"
-                    ),
-                );
-            }
-
             // Structurally constant constraints prove nothing about any
             // witness (and a nonzero constant is unsatisfiable outright).
             let mut queries = BTreeSet::new();
@@ -786,34 +750,6 @@ pub fn analyze<F: PrimeField>(
                 lookup_index.insert(key, subject.clone());
             }
         }
-        let di: usize = lk.input.iter().map(|e| e.degree()).max().unwrap_or(1);
-        let dt: usize = lk.table.iter().map(|e| e.degree()).max().unwrap_or(1);
-        let contribution = 2 + di + dt;
-        if let Some(qd) = view.quotient_degree {
-            if contribution > qd {
-                out.report(
-                    Detector::DegreeBound,
-                    Severity::Deny,
-                    subject.clone(),
-                    format!(
-                        "lookup constraint degree {contribution} exceeds the quotient \
-                         extension degree {qd} the domain provides"
-                    ),
-                );
-            }
-        }
-        if contribution > warn_degree {
-            out.report(
-                Detector::DegreeBound,
-                Severity::Warn,
-                subject.clone(),
-                format!(
-                    "lookup constraint degree {contribution} exceeds the review \
-                     threshold {warn_degree}"
-                ),
-            );
-        }
-
         let input_scans: Vec<_> = lk
             .input
             .iter()
@@ -918,33 +854,6 @@ pub fn analyze<F: PrimeField>(
                 shuffle_index.insert(key, subject.clone());
             }
         }
-        let di: usize = sh.input.iter().map(|e| e.degree()).max().unwrap_or(1);
-        let dt: usize = sh.target.iter().map(|e| e.degree()).max().unwrap_or(1);
-        let contribution = 2 + di.max(dt);
-        if let Some(qd) = view.quotient_degree {
-            if contribution > qd {
-                out.report(
-                    Detector::DegreeBound,
-                    Severity::Deny,
-                    subject.clone(),
-                    format!(
-                        "shuffle constraint degree {contribution} exceeds the quotient \
-                         extension degree {qd} the domain provides"
-                    ),
-                );
-            }
-        }
-        if contribution > warn_degree {
-            out.report(
-                Detector::DegreeBound,
-                Severity::Warn,
-                subject.clone(),
-                format!(
-                    "shuffle constraint degree {contribution} exceeds the review \
-                     threshold {warn_degree}"
-                ),
-            );
-        }
         let input_scans: Vec<_> = sh
             .input
             .iter()
@@ -979,6 +888,7 @@ pub fn analyze<F: PrimeField>(
             ColumnKind::Fixed => c.index,
             ColumnKind::Advice => cs.num_fixed + c.index,
             ColumnKind::Instance => cs.num_fixed + cs.num_advice + c.index,
+            _ => usize::MAX,
         }
     };
     let total_cols = cs.num_fixed + cs.num_advice + cs.num_instance;
@@ -987,6 +897,7 @@ pub fn analyze<F: PrimeField>(
             ColumnKind::Fixed => c.index < cs.num_fixed,
             ColumnKind::Advice => c.index < cs.num_advice,
             ColumnKind::Instance => c.index < cs.num_instance,
+            _ => false,
         };
         if !in_range {
             out.push(Finding {
@@ -1147,24 +1058,47 @@ pub fn analyze<F: PrimeField>(
         });
     }
 
-    // ---- system-level degree audit --------------------------------------
-    let max_degree = cs.max_degree();
-    if !cs.permutation_columns.is_empty() {
-        let contribution = 2 + PERMUTATION_CHUNK.min(cs.permutation_columns.len());
-        if let Some(qd) = view.quotient_degree {
-            if contribution > qd {
-                out.report(
-                    Detector::DegreeBound,
-                    Severity::Deny,
-                    "system",
-                    format!(
-                        "permutation argument degree {contribution} exceeds the quotient \
-                         extension degree {qd} the domain provides"
-                    ),
-                );
-            }
+    // ---- degree audit --------------------------------------------------
+    // Degrees are read off the protocol's own identity list, never
+    // re-derived: one verdict per argument, on its highest-degree identity.
+    let mut degrees: Vec<(Origin, usize)> = Vec::new();
+    for id in identities(cs, 0, F::ONE, F::ONE, F::ONE) {
+        match degrees.last_mut() {
+            Some((origin, d)) if *origin == id.origin => *d = (*d).max(id.expr.degree()),
+            _ => degrees.push((id.origin, id.expr.degree())),
         }
     }
+    for (origin, degree) in degrees {
+        let subject = match origin {
+            Origin::Gate { gate, poly } => format!("gate[{}@{gate}]#{poly}", cs.gates[gate].name),
+            Origin::Lookup(l) => format!("lookup[{}@{l}]", cs.lookups[l].name),
+            Origin::Shuffle(s) => format!("shuffle[{}@{s}]", cs.shuffles[s].name),
+            Origin::Permutation(j) => format!("permutation[chunk {j}]"),
+        };
+        if let Some(qd) = view.quotient_degree.filter(|qd| degree > *qd) {
+            out.report(
+                Detector::DegreeBound,
+                Severity::Deny,
+                subject.clone(),
+                format!(
+                    "identity degree {degree} exceeds the quotient extension degree {qd} the \
+                     domain provides — the quotient polynomial cannot represent it"
+                ),
+            );
+        }
+        if degree > warn_degree {
+            out.report(
+                Detector::DegreeBound,
+                Severity::Warn,
+                subject,
+                format!(
+                    "identity degree {degree} exceeds the review threshold {warn_degree}; \
+                     every unit of degree multiplies quotient FFT work"
+                ),
+            );
+        }
+    }
+    let max_degree = cs.max_degree();
     if let Some(k) = view.k {
         let extended_bits = (max_degree.max(2) as u64)
             .next_power_of_two()

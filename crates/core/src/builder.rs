@@ -49,27 +49,17 @@ pub struct BitCol {
     pub vals: Vec<bool>,
 }
 
-/// Query a column at the current row, respecting its kind.
+/// Query a column at the current row.
 pub fn col_expr(c: Column) -> Expression<Fq> {
-    use poneglyph_plonkish::ColumnKind;
-    match c.kind {
-        ColumnKind::Fixed => Expression::fixed(c.index),
-        ColumnKind::Advice => Expression::advice(c.index),
-        ColumnKind::Instance => Expression::instance(c.index),
-    }
+    rotated(c, Rotation::CUR)
 }
 
-/// Query a column at a rotation, respecting its kind.
+/// Query a column at a rotation.
 pub fn rotated(c: Column, rotation: Rotation) -> Expression<Fq> {
-    use poneglyph_plonkish::ColumnKind;
-    match c.kind {
-        ColumnKind::Fixed => Expression::fixed_at(c.index, rotation),
-        ColumnKind::Advice => Expression::advice_at(c.index, rotation),
-        ColumnKind::Instance => Expression::Var(poneglyph_plonkish::Query {
-            column: c,
-            rotation,
-        }),
-    }
+    Expression::Var(poneglyph_plonkish::Query {
+        column: c,
+        rotation,
+    })
 }
 
 impl Builder {

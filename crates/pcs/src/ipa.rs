@@ -216,7 +216,7 @@ fn s_vector(challenges: &[Fq]) -> Vec<Fq> {
 }
 
 /// `b_final = Σ s_i·x^i = Π_j (u_j⁻¹ + u_j·x^{2^{k-j}})`.
-fn b_final(challenges: &[Fq], x: Fq, _k: u32) -> Fq {
+fn b_final(challenges: &[Fq], x: Fq) -> Fq {
     let mut acc = Fq::ONE;
     let mut x_pow = x; // x^{2^{k-j}} for j = k (innermost) is x^1
     for u_j in challenges.iter().rev() {
@@ -227,10 +227,12 @@ fn b_final(challenges: &[Fq], x: Fq, _k: u32) -> Fq {
     acc
 }
 
-/// Fully verify an opening proof (`commitment` opens to `v` at `x`).
+/// Fully verify an opening proof (`commitment` opens to `v` at `x`): an
+/// [`IpaAccumulator`] holding this one claim, settled at once.
 ///
-/// The final check is an `n`-sized MSM; see [`IpaAccumulator`] for the
-/// amortized form the paper relies on for cheap verification.
+/// The final check is an `n`-sized MSM; accumulate many claims before
+/// settling for the amortized form the paper relies on for cheap
+/// verification.
 pub fn verify(
     params: &IpaParams,
     transcript: &mut Transcript,
@@ -239,28 +241,8 @@ pub fn verify(
     v: Fq,
     proof: &IpaProof,
 ) -> bool {
-    if proof.rounds.len() != params.k as usize {
-        return false;
-    }
-    let (z, challenges) = read_challenges(transcript, proof);
-
-    // P' = C + z·v·U + Σ u_j²·L_j + Σ u_j⁻²·R_j
-    let mut lhs = commitment.add(&params.u.to_projective().mul(&(z * v)));
-    for ((l, r), u_j) in proof.rounds.iter().zip(&challenges) {
-        let u2 = u_j.square();
-        let u2_inv = u2.invert().expect("nonzero");
-        lhs = lhs
-            .add(&l.to_projective().mul(&u2))
-            .add(&r.to_projective().mul(&u2_inv));
-    }
-
-    let s = s_vector(&challenges);
-    let b = b_final(&challenges, x, params.k);
-    let rhs = msm_with(&s, &params.g, Parallelism::auto())
-        .mul(&proof.a)
-        .add(&params.u.to_projective().mul(&(z * proof.a * b)))
-        .add(&params.h.to_projective().mul(&proof.blind));
-    lhs == rhs
+    let mut acc = IpaAccumulator::new(params, Fq::ONE);
+    acc.add_claim(params, transcript, commitment, x, v, proof) && acc.finalize(params)
 }
 
 /// Deferred verification: each proof contributes one linear claim over the
@@ -314,7 +296,7 @@ impl IpaAccumulator {
                 .add(&r.to_projective().mul(&u2_inv));
         }
         let s = s_vector(&challenges);
-        let b = b_final(&challenges, x, params.k);
+        let b = b_final(&challenges, x);
         // weight · (RHS − LHS) accumulated; RHS = a·<s,G> + z·a·b·U + blind·H
         let w = self.weight;
         for (acc, si) in self.g_scalars.iter_mut().zip(&s) {

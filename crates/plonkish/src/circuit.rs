@@ -154,33 +154,12 @@ impl<F: PrimeField> ConstraintSystem<F> {
         self.permutation_columns.len().div_ceil(PERMUTATION_CHUNK)
     }
 
-    /// The maximum constraint degree the quotient argument must support.
+    /// The maximum degree over the protocol's identities, which the quotient
+    /// argument must support (at least 2, the vanishing baseline). Degrees
+    /// do not depend on the challenges or the row count.
     pub fn max_degree(&self) -> usize {
-        let mut d = 2; // vanishing baseline
-        for gate in &self.gates {
-            for p in &gate.polys {
-                // +1 for the implicit active-row gate.
-                d = d.max(p.degree() + 1);
-            }
-        }
-        for lk in &self.lookups {
-            let di: usize = lk.input.iter().map(|e| e.degree()).max().unwrap_or(1);
-            let dt: usize = lk.table.iter().map(|e| e.degree()).max().unwrap_or(1);
-            // l_active · Z · (input + β) · (table + γ)
-            d = d.max(2 + di + dt);
-            // l_active · (A' − S')(A' − A'(ω⁻¹X))
-            d = d.max(3);
-        }
-        for sh in &self.shuffles {
-            let di: usize = sh.input.iter().map(|e| e.degree()).max().unwrap_or(1);
-            let dt: usize = sh.target.iter().map(|e| e.degree()).max().unwrap_or(1);
-            d = d.max(2 + di.max(dt));
-        }
-        if !self.permutation_columns.is_empty() {
-            // l_active · Z(ωX) · Π_{chunk} (p + βσ + γ)
-            d = d.max(2 + PERMUTATION_CHUNK.min(self.permutation_columns.len()));
-        }
-        d
+        let ids = crate::identities::identities(self, 0, F::ONE, F::ONE, F::ONE);
+        ids.map(|id| id.expr.degree()).fold(2, usize::max)
     }
 
     /// All column queries made by gates, lookups and shuffles.
@@ -316,6 +295,7 @@ impl<F: PrimeField> Assignment<F> {
             ColumnKind::Fixed => self.fixed[column.index][row],
             ColumnKind::Advice => self.advice[column.index][row],
             ColumnKind::Instance => self.instance[column.index][row],
+            kind => panic!("an assignment holds no {kind:?} column"),
         }
     }
 

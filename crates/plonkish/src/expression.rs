@@ -8,7 +8,11 @@
 use poneglyph_arith::PrimeField;
 use std::collections::BTreeSet;
 
-/// The three column kinds of a PLONKish matrix (paper §2.2).
+/// Every kind of column the proof system names. A circuit is written over
+/// the first three (the PLONKish matrix of paper §2.2); the rest are the
+/// protocol's own polynomials, which only [`crate::identities`] queries.
+/// The declaration order is the sort order of [`Query`], which fixes the
+/// proof's evaluation layout — append, never reorder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ColumnKind {
     /// Circuit-constant columns (selectors, lookup tables, constants).
@@ -17,6 +21,26 @@ pub enum ColumnKind {
     Advice,
     /// Public input/output columns shared with the verifier.
     Instance,
+    /// The copy permutation σ of one permutation column (verifying key).
+    Sigma,
+    /// The grand product `Z` of one copy-permutation chunk.
+    PermZ,
+    /// A lookup's permuted input column `A′`.
+    LookupA,
+    /// A lookup's permuted table column `S′`.
+    LookupS,
+    /// A lookup's grand product `Z`.
+    LookupZ,
+    /// A shuffle's grand product `Z`.
+    ShuffleZ,
+    /// A piece of the quotient polynomial `h` (opened, never a leaf).
+    HPiece,
+    /// `l_0`: the indicator of row 0.
+    L0,
+    /// `l_last`: the indicator of the boundary row after the usable rows.
+    LLast,
+    /// `l_active`: the indicator of the usable rows.
+    LActive,
 }
 
 /// A column reference.
@@ -29,26 +53,21 @@ pub struct Column {
 }
 
 impl Column {
+    /// Column `index` of `kind`.
+    pub fn new(kind: ColumnKind, index: usize) -> Self {
+        Self { kind, index }
+    }
     /// Shorthand for a fixed column.
     pub fn fixed(index: usize) -> Self {
-        Self {
-            kind: ColumnKind::Fixed,
-            index,
-        }
+        Self::new(ColumnKind::Fixed, index)
     }
     /// Shorthand for an advice column.
     pub fn advice(index: usize) -> Self {
-        Self {
-            kind: ColumnKind::Advice,
-            index,
-        }
+        Self::new(ColumnKind::Advice, index)
     }
     /// Shorthand for an instance column.
     pub fn instance(index: usize) -> Self {
-        Self {
-            kind: ColumnKind::Instance,
-            index,
-        }
+        Self::new(ColumnKind::Instance, index)
     }
 }
 
@@ -72,6 +91,16 @@ pub struct Query {
     pub column: Column,
     /// The rotation applied to the query.
     pub rotation: Rotation,
+}
+
+impl Query {
+    /// Column `index` of `kind`, `rotation` rows away.
+    pub fn new(kind: ColumnKind, index: usize, rotation: i32) -> Self {
+        Self {
+            column: Column::new(kind, index),
+            rotation: Rotation(rotation),
+        }
+    }
 }
 
 /// A multivariate polynomial over column queries.

@@ -1,7 +1,8 @@
 //! Key generation: compiling a circuit shape + fixed content into proving
 //! and verifying keys (paper workflow step 3, Figure 2).
 
-use crate::circuit::{Assignment, ConstraintSystem, PERMUTATION_CHUNK};
+use crate::circuit::{Assignment, ConstraintSystem};
+use crate::identities::coset_multiplier;
 
 use poneglyph_arith::{Fq, PrimeField};
 use poneglyph_curve::PallasAffine;
@@ -37,12 +38,6 @@ impl VerifyingKey {
         for c in &self.sigma_commitments {
             transcript.absorb_bytes(b"vk-sigma", &c.to_bytes());
         }
-    }
-
-    /// Coset multiplier for permutation column `i` (`gᶦ`, distinct cosets of
-    /// the evaluation domain for each column).
-    pub fn coset_multiplier(i: usize) -> Fq {
-        Fq::multiplicative_generator().pow(&[i as u64, 0, 0, 0])
     }
 
     /// Closed-form evaluation of the Lagrange basis polynomial `l_i` at `x`
@@ -119,16 +114,12 @@ impl Dsu {
     }
 }
 
-/// Process-wide instrumentation for key generation and prover stages —
-/// legacy *views* over the [`poneglyph_obs`] global metrics registry.
-///
-/// Earlier revisions kept private statics here; the accessors now read
-/// the same registry series the serving layer exposes over `/metrics`
+/// Process-wide instrumentation for key generation and prover stages:
+/// read-only views over the [`poneglyph_obs`] global metrics registry, the
+/// same series the serving layer exposes over `/metrics`
 /// (`poneglyph_keygens_total{kind=...}` and
-/// `poneglyph_span_nanos{span="prove.*"}`), so benches and tests written
-/// against this module keep working while the fleet scrapes one source of
-/// truth. Per-session stage timings live in `SessionStats`; these views
-/// aggregate across the whole process.
+/// `poneglyph_span_nanos{span="prove.*"}`). Per-session stage timings live
+/// in `SessionStats`; these views aggregate across the whole process.
 ///
 /// Tests use the counters to assert *which* keygen path ran — e.g. that
 /// the verifier never materializes prover-only tables (no [`keygen_pk_with`]
@@ -270,13 +261,8 @@ fn build_tables(
     }
     // σ starts as the identity permutation and each multi-member class
     // becomes one cycle.
-    let mut omega_pows = Vec::with_capacity(n);
-    let mut cur = Fq::ONE;
-    for _ in 0..n {
-        omega_pows.push(cur);
-        cur *= domain.omega;
-    }
-    let multipliers: Vec<Fq> = (0..m).map(VerifyingKey::coset_multiplier).collect();
+    let omega_pows = crate::eval::omega_powers(&domain);
+    let multipliers: Vec<Fq> = (0..m).map(coset_multiplier).collect();
     let mut sigma_values: Vec<Vec<Fq>> = (0..m)
         .map(|c| omega_pows.iter().map(|w| multipliers[c] * *w).collect())
         .collect();
@@ -294,7 +280,6 @@ fn build_tables(
     let sigma_polys = crate::prover::to_coeff_all(&domain, &sigma_values, par);
     let sigma_commitments = crate::prover::commit_all(params, &sigma_polys, None, par);
 
-    let _ = PERMUTATION_CHUNK; // referenced by prover/verifier
     KeygenTables {
         domain,
         usable,
@@ -427,8 +412,8 @@ mod tests {
         // duplicate copies must not split the cycle
         asn.copy(Cell { column: a, row: 1 }, Cell { column: b, row: 2 });
         let pk = keygen_pk_with(&params, &cs, &asn, Parallelism::auto());
-        let k1 = VerifyingKey::coset_multiplier(0);
-        let k2 = VerifyingKey::coset_multiplier(1);
+        let k1: Fq = coset_multiplier(0);
+        let k2: Fq = coset_multiplier(1);
         let w = pk.vk.domain.omega;
         // two-cycle: sigma(a,1) = (b,2), sigma(b,2) = (a,1)
         assert_eq!(pk.sigma_values[0][1], k2 * w.square());

@@ -18,6 +18,9 @@
 //!   [`verify_accumulate`] which defers the IPA opening checks into an
 //!   [`IpaAccumulator`](poneglyph_pcs::IpaAccumulator) so a batch of
 //!   proofs settles with one MSM,
+//! * [`identities`] — the protocol's polynomial identities, the one list the
+//!   prover, the verifier, [`ConstraintSystem::max_degree`] and the
+//!   analyzer all read,
 //! * [`mock_prove`] — fast constraint checking for circuit development.
 
 #![warn(missing_docs)]
@@ -25,6 +28,7 @@
 mod circuit;
 mod eval;
 mod expression;
+mod identities;
 mod keygen;
 mod mock;
 mod proof;
@@ -34,14 +38,14 @@ mod verifier;
 pub use circuit::{
     Assignment, Cell, ConstraintSystem, Gate, Lookup, Shuffle, BLINDING_ROWS, PERMUTATION_CHUNK,
 };
-pub use eval::{
-    compress_rows, eval_at_point, eval_extended, eval_extended_chunk, eval_rows, omega_powers,
-    CosetSource, RowSource,
-};
+pub use eval::{eval_at_point, eval_strided, identity_coset, omega_powers};
 pub use expression::{Column, ColumnKind, Expression, Query, Rotation};
+pub use identities::{
+    compress, coset_multiplier, grand_products, identities, GrandProduct, Identity, Origin,
+};
 pub use keygen::{instrument, keygen_pk_with, keygen_vk_with, ProvingKey, VerifyingKey};
 pub use mock::{mock_prove, MockError, MOCK_ERRORS_PER_CLASS};
-pub use proof::{open_schedule, PolyId, Proof};
+pub use proof::{open_schedule, Proof};
 pub use prover::{prove_timed, ProveError, ProverTimings};
 pub use verifier::{verify, verify_accumulate, VerifyError};
 

@@ -3,8 +3,9 @@
 //! by every gadget test (millisecond feedback instead of seconds of proving).
 
 use crate::circuit::{Assignment, Cell, ConstraintSystem};
-use crate::eval::{compress_rows, eval_rows, RowSource};
-use crate::expression::Rotation;
+use crate::eval::eval_strided;
+use crate::expression::{Column, ColumnKind, Expression};
+use crate::identities::compress;
 use poneglyph_arith::{Fq, PrimeField};
 use poneglyph_poly::EvaluationDomain;
 use std::collections::HashMap;
@@ -84,19 +85,22 @@ pub fn mock_prove(cs: &ConstraintSystem<Fq>, asn: &Assignment<Fq>) -> Result<(),
             *v = Fq::from_u64(0x9e37_79b9_7f4a_7c15u64 ^ ((ci as u64) << 32) ^ ri as u64);
         }
     }
-    let src = RowSource {
-        fixed: &asn.fixed,
-        advice: &advice,
-        instance: &asn.instance,
-        omega_pows: &omega_pows,
+    let column_rows = |c: Column| -> &[Fq] {
+        match c.kind {
+            ColumnKind::Fixed => &asn.fixed[c.index],
+            ColumnKind::Advice => &advice[c.index],
+            ColumnKind::Instance => &asn.instance[c.index],
+            kind => unreachable!("a circuit cannot query {kind:?}"),
+        }
     };
+    let on_rows = |e: &Expression<Fq>| eval_strided(e, &column_rows, &omega_pows, 1, 0, n);
 
     let mut errors = Vec::new();
 
     let mut gate_errors = 0usize;
     'gates: for gate in &cs.gates {
         for (pi, poly) in gate.polys.iter().enumerate() {
-            let values = eval_rows(poly, &src, n);
+            let values = on_rows(poly);
             for (row, v) in values[..u].iter().enumerate() {
                 if !v.is_zero() {
                     errors.push(MockError::Gate {
@@ -127,8 +131,8 @@ pub fn mock_prove(cs: &ConstraintSystem<Fq>, asn: &Assignment<Fq>) -> Result<(),
     // θ does not matter for membership; compare tuples directly.
     let mut lookup_errors = 0usize;
     'lookups: for lk in &cs.lookups {
-        let inputs: Vec<Vec<Fq>> = lk.input.iter().map(|e| eval_rows(e, &src, n)).collect();
-        let tables: Vec<Vec<Fq>> = lk.table.iter().map(|e| eval_rows(e, &src, n)).collect();
+        let inputs: Vec<Vec<Fq>> = lk.input.iter().map(&on_rows).collect();
+        let tables: Vec<Vec<Fq>> = lk.table.iter().map(&on_rows).collect();
         let mut table_set: HashMap<Vec<[u8; 32]>, ()> = HashMap::with_capacity(u);
         for r in 0..u {
             table_set.insert(tables.iter().map(|t| t[r].to_repr()).collect(), ());
@@ -149,14 +153,12 @@ pub fn mock_prove(cs: &ConstraintSystem<Fq>, asn: &Assignment<Fq>) -> Result<(),
     }
 
     for sh in &cs.shuffles {
-        let inputs: Vec<Vec<Fq>> = sh.input.iter().map(|e| eval_rows(e, &src, n)).collect();
-        let targets: Vec<Vec<Fq>> = sh.target.iter().map(|e| eval_rows(e, &src, n)).collect();
         // Compress with a fixed pseudo-random θ: multiset equality of
         // compressed values at a random point is equality w.h.p., and the
         // mock prover only needs a diagnostic.
         let theta = Fq::from_u64(0xd1b5_4a32_d192_ed03);
-        let a = compress_rows(&inputs, theta);
-        let b = compress_rows(&targets, theta);
+        let a = on_rows(&compress(&sh.input, theta));
+        let b = on_rows(&compress(&sh.target, theta));
         let mut counts: HashMap<[u8; 32], i64> = HashMap::with_capacity(u);
         for r in 0..u {
             *counts.entry(a[r].to_repr()).or_insert(0) += 1;
@@ -169,7 +171,6 @@ pub fn mock_prove(cs: &ConstraintSystem<Fq>, asn: &Assignment<Fq>) -> Result<(),
         }
     }
 
-    let _ = Rotation::CUR;
     if errors.is_empty() {
         Ok(())
     } else {

@@ -6,83 +6,52 @@
 //! the proof needs no per-entry framing.
 
 use crate::circuit::ConstraintSystem;
-use crate::expression::{ColumnKind, Query};
+use crate::expression::{Column, ColumnKind, Query};
 use poneglyph_arith::{Fq, PrimeField};
 use poneglyph_curve::PallasAffine;
 use poneglyph_pcs::IpaProof;
 use std::collections::BTreeSet;
 
-/// Identifies one committed polynomial in a proof.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum PolyId {
-    /// An advice column polynomial.
-    Advice(usize),
-    /// A fixed column polynomial (committed in the verifying key).
-    Fixed(usize),
-    /// A permutation σ polynomial (verifying key).
-    Sigma(usize),
-    /// A copy-constraint grand product chunk.
-    PermZ(usize),
-    /// A lookup's permuted input column A′.
-    LookupA(usize),
-    /// A lookup's permuted table column S′.
-    LookupS(usize),
-    /// A lookup grand product.
-    LookupZ(usize),
-    /// A shuffle grand product.
-    ShuffleZ(usize),
-    /// A piece of the quotient polynomial.
-    HPiece(usize),
-}
-
-/// The ordered list of `(polynomial, rotation)` opening claims.
-pub fn open_schedule(
-    cs: &ConstraintSystem<Fq>,
-    usable_rot: i32,
-    h_pieces: usize,
-) -> Vec<(PolyId, i32)> {
-    let mut out = Vec::new();
-    let queries = cs.collect_queries();
-    for q in &queries {
-        match q.column.kind {
-            ColumnKind::Advice => out.push((PolyId::Advice(q.column.index), q.rotation.0)),
-            ColumnKind::Fixed => out.push((PolyId::Fixed(q.column.index), q.rotation.0)),
-            // Instance evaluations are recomputed by the verifier.
-            ColumnKind::Instance => {}
-        }
-    }
+/// The ordered list of `(polynomial, rotation)` opening claims: every
+/// committed polynomial the identities query, then the `h_pieces` quotient
+/// pieces. The order is the layout of [`Proof::evals`].
+pub fn open_schedule(cs: &ConstraintSystem<Fq>, usable_rot: i32, h_pieces: usize) -> Vec<Query> {
+    // Circuit columns: instance evaluations are recomputed by the verifier.
+    let mut out: Vec<Query> = cs.collect_queries().into_iter().collect();
+    out.retain(|q| q.column.kind != ColumnKind::Instance);
+    let mut push = |kind, index, rotation| out.push(Query::new(kind, index, rotation));
     let chunks = cs.permutation_chunks();
     for i in 0..cs.permutation_columns.len() {
-        out.push((PolyId::Sigma(i), 0));
+        push(ColumnKind::Sigma, i, 0);
     }
     for j in 0..chunks {
-        out.push((PolyId::PermZ(j), 0));
-        out.push((PolyId::PermZ(j), 1));
+        push(ColumnKind::PermZ, j, 0);
+        push(ColumnKind::PermZ, j, 1);
         if j + 1 < chunks {
             // linked into chunk j+1 at the boundary row
-            out.push((PolyId::PermZ(j), usable_rot));
+            push(ColumnKind::PermZ, j, usable_rot);
         }
     }
     for l in 0..cs.lookups.len() {
-        out.push((PolyId::LookupA(l), 0));
-        out.push((PolyId::LookupA(l), -1));
-        out.push((PolyId::LookupS(l), 0));
-        out.push((PolyId::LookupZ(l), 0));
-        out.push((PolyId::LookupZ(l), 1));
+        push(ColumnKind::LookupA, l, 0);
+        push(ColumnKind::LookupA, l, -1);
+        push(ColumnKind::LookupS, l, 0);
+        push(ColumnKind::LookupZ, l, 0);
+        push(ColumnKind::LookupZ, l, 1);
     }
     for s in 0..cs.shuffles.len() {
-        out.push((PolyId::ShuffleZ(s), 0));
-        out.push((PolyId::ShuffleZ(s), 1));
+        push(ColumnKind::ShuffleZ, s, 0);
+        push(ColumnKind::ShuffleZ, s, 1);
     }
     for j in 0..h_pieces {
-        out.push((PolyId::HPiece(j), 0));
+        push(ColumnKind::HPiece, j, 0);
     }
     out
 }
 
 /// The distinct rotations opened, ascending.
-pub fn opening_rotations(schedule: &[(PolyId, i32)]) -> Vec<i32> {
-    let set: BTreeSet<i32> = schedule.iter().map(|(_, r)| *r).collect();
+pub fn opening_rotations(schedule: &[Query]) -> Vec<i32> {
+    let set: BTreeSet<i32> = schedule.iter().map(|q| q.rotation.0).collect();
     set.into_iter().collect()
 }
 
@@ -225,7 +194,7 @@ impl Proof {
 
 /// Convenience: the rotation queries of a schedule grouped per rotation, in
 /// ascending rotation order, preserving schedule order within a group.
-pub fn claims_by_rotation(schedule: &[(PolyId, i32)]) -> Vec<(i32, Vec<PolyId>)> {
+pub fn claims_by_rotation(schedule: &[Query]) -> Vec<(i32, Vec<Column>)> {
     let rotations = opening_rotations(schedule);
     rotations
         .into_iter()
@@ -234,20 +203,18 @@ pub fn claims_by_rotation(schedule: &[(PolyId, i32)]) -> Vec<(i32, Vec<PolyId>)>
                 rot,
                 schedule
                     .iter()
-                    .filter(|(_, r)| *r == rot)
-                    .map(|(id, _)| *id)
+                    .filter(|q| q.rotation.0 == rot)
+                    .map(|q| q.column)
                     .collect(),
             )
         })
         .collect()
 }
 
-/// Look up the claimed evaluation for a `(poly, rotation)` pair.
-pub fn eval_of(schedule: &[(PolyId, i32)], evals: &[Fq], id: PolyId, rot: i32) -> Option<Fq> {
-    schedule
-        .iter()
-        .position(|(p, r)| *p == id && *r == rot)
-        .map(|i| evals[i])
+/// Look up the claimed evaluation for a `(polynomial, rotation)` pair.
+pub fn eval_of(schedule: &[Query], evals: &[Fq], claim: Query) -> Option<Fq> {
+    let i = schedule.iter().position(|q| *q == claim)?;
+    Some(evals[i])
 }
 
 #[cfg(test)]
@@ -282,12 +249,12 @@ mod tests {
         let s1 = open_schedule(&cs, 100, 3);
         let s2 = open_schedule(&cs, 100, 3);
         assert_eq!(s1, s2);
-        assert!(s1.contains(&(PolyId::PermZ(0), 0)));
-        assert!(s1.contains(&(PolyId::PermZ(0), 1)));
-        assert!(s1.contains(&(PolyId::LookupA(0), -1)));
-        assert!(s1.contains(&(PolyId::HPiece(2), 0)));
+        assert!(s1.contains(&Query::new(ColumnKind::PermZ, 0, 0)));
+        assert!(s1.contains(&Query::new(ColumnKind::PermZ, 0, 1)));
+        assert!(s1.contains(&Query::new(ColumnKind::LookupA, 0, -1)));
+        assert!(s1.contains(&Query::new(ColumnKind::HPiece, 2, 0)));
         // single chunk → no linking rotation
-        assert!(!s1.contains(&(PolyId::PermZ(0), 100)));
+        assert!(!s1.contains(&Query::new(ColumnKind::PermZ, 0, 100)));
         let rots = opening_rotations(&s1);
         assert_eq!(rots, vec![-1, 0, 1]);
     }
@@ -299,6 +266,9 @@ mod tests {
         let groups = claims_by_rotation(&s);
         assert_eq!(groups.len(), 3);
         assert_eq!(groups[0].0, -1);
-        assert_eq!(groups[0].1, vec![PolyId::LookupA(0)]);
+        assert_eq!(
+            groups[0].1,
+            vec![Query::new(ColumnKind::LookupA, 0, -1).column]
+        );
     }
 }

@@ -26,13 +26,12 @@
 //! invariant, not a best effort — Fiat–Shamir soundness depends on prover
 //! and verifier replaying one transcript.
 
-use crate::circuit::{Assignment, PERMUTATION_CHUNK};
-use crate::eval::{
-    compress_rows, eval_extended_chunk, eval_rows, identity_coset, omega_powers, CosetSource,
-    RowSource,
-};
-use crate::keygen::{instrument, ProvingKey, VerifyingKey};
-use crate::proof::{claims_by_rotation, open_schedule, PolyId, Proof};
+use crate::circuit::Assignment;
+use crate::eval::{eval_strided, identity_coset, omega_powers};
+use crate::expression::{Column, ColumnKind, Expression};
+use crate::identities::{compress, grand_products, identities};
+use crate::keygen::{instrument, ProvingKey};
+use crate::proof::{claims_by_rotation, open_schedule, Proof};
 use poneglyph_arith::{Fq, PrimeField};
 use poneglyph_curve::{Pallas, PallasAffine};
 use poneglyph_hash::Transcript;
@@ -137,30 +136,17 @@ pub(crate) fn commit_all(
     Pallas::batch_to_affine(&projective)
 }
 
-/// One lookup's prover columns: the compressed input/table rows and the
-/// permuted `A'`/`S'` columns of paper §4.1, Figure 4.
-struct BuiltLookup {
-    a: Vec<Fq>,
-    s: Vec<Fq>,
-    a_sorted: Vec<Fq>,
-    s_final: Vec<Fq>,
-}
-
-/// Construct one lookup's permuted columns. Pure function of the witness
-/// and the pre-drawn blinding rows, so lookups build in parallel.
+/// Construct one lookup's permuted columns `A'`/`S'` (paper §4.1, Figure 4)
+/// from the rows of its compressed input and table. Pure function of the
+/// witness and the pre-drawn blinding rows, so lookups build in parallel.
 fn build_lookup(
-    lk: &crate::circuit::Lookup<Fq>,
-    row_src: &RowSource<'_>,
-    theta: Fq,
+    name: &str,
+    a: &[Fq],
+    s: &[Fq],
     u: usize,
-    n: usize,
     blind_rows: &(Vec<Fq>, Vec<Fq>),
-) -> Result<BuiltLookup, ProveError> {
-    let inputs: Vec<Vec<Fq>> = lk.input.iter().map(|e| eval_rows(e, row_src, n)).collect();
-    let tables: Vec<Vec<Fq>> = lk.table.iter().map(|e| eval_rows(e, row_src, n)).collect();
-    let a = compress_rows(&inputs, theta);
-    let s = compress_rows(&tables, theta);
-
+) -> Result<(Vec<Fq>, Vec<Fq>), ProveError> {
+    let n = a.len();
     // Sort the inputs so duplicates are adjacent (paper Eq. 1 layout).
     let mut a_sorted: Vec<Fq> = a[..u].to_vec();
     a_sorted.sort_unstable_by_key(|v| {
@@ -181,7 +167,7 @@ fn build_lookup(
                 Some(c) if *c > 0 => *c -= 1,
                 _ => {
                     return Err(ProveError::LookupValueMissing {
-                        lookup: lk.name.clone(),
+                        lookup: name.to_string(),
                         row: i,
                     })
                 }
@@ -212,12 +198,7 @@ fn build_lookup(
     s_final.resize(n, Fq::ZERO);
     a_sorted[u..n].copy_from_slice(&blind_rows.0);
     s_final[u..n].copy_from_slice(&blind_rows.1);
-    Ok(BuiltLookup {
-        a,
-        s,
-        a_sorted,
-        s_final,
-    })
+    Ok((a_sorted, s_final))
 }
 
 /// Generate a proof for `asn` under `pk` within the thread budget `par`,
@@ -274,11 +255,14 @@ pub fn prove_timed(
     // evaluation, sorting, matching) runs one worker per lookup.
     // ------------------------------------------------------------------
     let omega_pows = omega_powers(domain);
-    let row_src = RowSource {
-        fixed: &pk.fixed_values,
-        advice: &asn.advice,
-        instance: &asn.instance,
-        omega_pows: &omega_pows,
+    let circuit_rows = |c: Column| -> &[Fq] {
+        match c.kind {
+            ColumnKind::Fixed => &pk.fixed_values[c.index],
+            ColumnKind::Advice => &asn.advice[c.index],
+            ColumnKind::Instance => &asn.instance[c.index],
+            ColumnKind::Sigma => &pk.sigma_values[c.index],
+            kind => unreachable!("{kind:?} has no row values at this stage"),
+        }
     };
 
     let lookup_blind_rows: Vec<(Vec<Fq>, Vec<Fq>)> = cs
@@ -292,19 +276,19 @@ pub fn prove_timed(
         })
         .collect();
     let built = par_map(par, &cs.lookups, |l, lk| {
-        build_lookup(lk, &row_src, theta, u, n, &lookup_blind_rows[l])
+        let rows = |parts: &[Expression<Fq>]| {
+            eval_strided(&compress(parts, theta), &circuit_rows, &omega_pows, 1, 0, n)
+        };
+        let (a, s) = (rows(&lk.input), rows(&lk.table));
+        build_lookup(&lk.name, &a, &s, u, &lookup_blind_rows[l])
     });
-    let mut lookup_inputs: Vec<Vec<Fq>> = Vec::with_capacity(cs.lookups.len());
-    let mut lookup_tables: Vec<Vec<Fq>> = Vec::with_capacity(cs.lookups.len());
     let mut lookup_a_sorted: Vec<Vec<Fq>> = Vec::with_capacity(cs.lookups.len());
     let mut lookup_s_matched: Vec<Vec<Fq>> = Vec::with_capacity(cs.lookups.len());
     for b in built {
         // First failing lookup (lowest index) wins, as in a serial pass.
-        let b = b?;
-        lookup_inputs.push(b.a);
-        lookup_tables.push(b.s);
-        lookup_a_sorted.push(b.a_sorted);
-        lookup_s_matched.push(b.s_final);
+        let (a_sorted, s_final) = b?;
+        lookup_a_sorted.push(a_sorted);
+        lookup_s_matched.push(s_final);
     }
     let lookup_a_blinds: Vec<Fq> = (0..cs.lookups.len()).map(|_| Fq::random(rng)).collect();
     let lookup_s_blinds: Vec<Fq> = (0..cs.lookups.len()).map(|_| Fq::random(rng)).collect();
@@ -328,126 +312,67 @@ pub fn prove_timed(
     // challenges); the O(rows) running products and their blinding draws
     // stay serial — the permutation chunks chain through `carry`.
     // ------------------------------------------------------------------
-    // Copy-constraint permutation (chunked).
-    let perm_cols = &cs.permutation_columns;
-    let chunks = cs.permutation_chunks();
-    let chunk_slices: Vec<&[crate::expression::Column]> =
-        perm_cols.chunks(PERMUTATION_CHUNK).collect();
-    let chunk_tables: Vec<(Vec<Fq>, Vec<Fq>)> = par_map(par, &chunk_slices, |j, chunk| {
-        let mut num = vec![Fq::ONE; u];
-        let mut den = vec![Fq::ONE; u];
-        for (ci, col) in chunk.iter().enumerate() {
-            let global_i = j * PERMUTATION_CHUNK + ci;
-            let k_i = VerifyingKey::coset_multiplier(global_i);
-            let values = match col.kind {
-                crate::expression::ColumnKind::Fixed => &pk.fixed_values[col.index],
-                crate::expression::ColumnKind::Advice => &asn.advice[col.index],
-                crate::expression::ColumnKind::Instance => &asn.instance[col.index],
-            };
-            let sigma = &pk.sigma_values[global_i];
-            for r in 0..u {
-                num[r] *= values[r] + beta * k_i * omega_pows[r] + gamma;
-                den[r] *= values[r] + beta * sigma[r] + gamma;
-            }
+    let products: Vec<_> = grand_products(cs, theta, beta, gamma).collect();
+    let row_values = |c: Column| -> &[Fq] {
+        match c.kind {
+            ColumnKind::LookupA => &lookup_a_sorted[c.index],
+            ColumnKind::LookupS => &lookup_s_matched[c.index],
+            _ => circuit_rows(c),
         }
+    };
+    let ratios: Vec<(Vec<Fq>, Vec<Fq>)> = par_map(par, &products, |_, gp| {
+        let rows = |e: &Expression<Fq>| eval_strided(e, &row_values, &omega_pows, 1, 0, u);
+        let mut den = rows(&gp.denominator);
         Fq::batch_invert(&mut den);
-        (num, den)
+        (rows(&gp.numerator), den)
     });
-    let mut perm_z_values: Vec<Vec<Fq>> = Vec::with_capacity(chunks);
+    let mut z_values: Vec<Vec<Fq>> = Vec::with_capacity(products.len());
     let mut carry = Fq::ONE;
-    for (num, den_inv) in &chunk_tables {
+    for (gp, (num, den_inv)) in products.iter().zip(&ratios) {
         let mut z = vec![Fq::ZERO; n];
-        z[0] = carry;
+        z[0] = if gp.carries_from.is_some() {
+            carry
+        } else {
+            Fq::ONE
+        };
         for r in 0..u {
             z[r + 1] = z[r] * num[r] * den_inv[r];
         }
         carry = z[u];
+        if gp.closes && carry != Fq::ONE {
+            // Nothing before this point checks the copies. A lookup was
+            // matched by `build_lookup`, and a false shuffle yields a proof
+            // the verifier rejects.
+            if gp.z.kind == ColumnKind::PermZ {
+                return Err(ProveError::PermutationInconsistent);
+            }
+            debug_assert!(false, "{:?} product must close", gp.origin);
+        }
         for zi in z[u + 1..].iter_mut() {
             *zi = Fq::random(rng);
         }
-        perm_z_values.push(z);
-    }
-    if chunks > 0 && carry != Fq::ONE {
-        return Err(ProveError::PermutationInconsistent);
-    }
-
-    // Lookup grand products.
-    let lookup_idx: Vec<usize> = (0..cs.lookups.len()).collect();
-    let lookup_den_inv: Vec<Vec<Fq>> = par_map(par, &lookup_idx, |_, &l| {
-        let ap = &lookup_a_sorted[l];
-        let sp = &lookup_s_matched[l];
-        let mut den: Vec<Fq> = (0..u).map(|r| (ap[r] + beta) * (sp[r] + gamma)).collect();
-        Fq::batch_invert(&mut den);
-        den
-    });
-    let mut lookup_z_values: Vec<Vec<Fq>> = Vec::with_capacity(cs.lookups.len());
-    for l in 0..cs.lookups.len() {
-        let a = &lookup_inputs[l];
-        let s = &lookup_tables[l];
-        let den = &lookup_den_inv[l];
-        let mut z = vec![Fq::ZERO; n];
-        z[0] = Fq::ONE;
-        for r in 0..u {
-            z[r + 1] = z[r] * (a[r] + beta) * (s[r] + gamma) * den[r];
-        }
-        debug_assert_eq!(z[u], Fq::ONE, "lookup product must close");
-        for zi in z[u + 1..].iter_mut() {
-            *zi = Fq::random(rng);
-        }
-        lookup_z_values.push(z);
-    }
-
-    // Shuffle grand products.
-    let shuffle_tables: Vec<(Vec<Fq>, Vec<Fq>, Vec<Fq>)> = par_map(par, &cs.shuffles, |_, sh| {
-        let inputs: Vec<Vec<Fq>> = sh.input.iter().map(|e| eval_rows(e, &row_src, n)).collect();
-        let targets: Vec<Vec<Fq>> = sh
-            .target
-            .iter()
-            .map(|e| eval_rows(e, &row_src, n))
-            .collect();
-        let a = compress_rows(&inputs, theta);
-        let b = compress_rows(&targets, theta);
-        let mut den: Vec<Fq> = (0..u).map(|r| b[r] + gamma).collect();
-        Fq::batch_invert(&mut den);
-        (a, b, den)
-    });
-    let mut shuffle_inputs: Vec<Vec<Fq>> = Vec::with_capacity(cs.shuffles.len());
-    let mut shuffle_targets: Vec<Vec<Fq>> = Vec::with_capacity(cs.shuffles.len());
-    let mut shuffle_z_values: Vec<Vec<Fq>> = Vec::with_capacity(cs.shuffles.len());
-    for (a, b, den) in shuffle_tables {
-        let mut z = vec![Fq::ZERO; n];
-        z[0] = Fq::ONE;
-        for r in 0..u {
-            z[r + 1] = z[r] * (a[r] + gamma) * den[r];
-        }
-        debug_assert_eq!(z[u], Fq::ONE, "shuffle product must close");
-        for zi in z[u + 1..].iter_mut() {
-            *zi = Fq::random(rng);
-        }
-        shuffle_inputs.push(a);
-        shuffle_targets.push(b);
-        shuffle_z_values.push(z);
+        z_values.push(z);
     }
 
     // Commit all Z polynomials (blinds drawn serially first, as above).
-    let perm_z_blinds: Vec<Fq> = (0..chunks).map(|_| Fq::random(rng)).collect();
-    let lookup_z_blinds: Vec<Fq> = (0..cs.lookups.len()).map(|_| Fq::random(rng)).collect();
-    let shuffle_z_blinds: Vec<Fq> = (0..cs.shuffles.len()).map(|_| Fq::random(rng)).collect();
-    let perm_z_polys = to_coeff_all(domain, &perm_z_values, par);
-    let lookup_z_polys = to_coeff_all(domain, &lookup_z_values, par);
-    let shuffle_z_polys = to_coeff_all(domain, &shuffle_z_values, par);
-    let perm_z_comm = commit_all(params, &perm_z_polys, Some(&perm_z_blinds), par);
-    let lookup_z_comm = commit_all(params, &lookup_z_polys, Some(&lookup_z_blinds), par);
-    let shuffle_z_comm = commit_all(params, &shuffle_z_polys, Some(&shuffle_z_blinds), par);
-    for c in &perm_z_comm {
-        transcript.absorb_bytes(b"perm-z", &c.to_bytes());
+    let z_blinds: Vec<Fq> = (0..products.len()).map(|_| Fq::random(rng)).collect();
+    let z_polys = to_coeff_all(domain, &z_values, par);
+    let z_comm = commit_all(params, &z_polys, Some(&z_blinds), par);
+    for (gp, c) in products.iter().zip(&z_comm) {
+        let label: &[u8] = match gp.z.kind {
+            ColumnKind::PermZ => b"perm-z",
+            ColumnKind::LookupZ => b"lookup-z",
+            _ => b"shuffle-z",
+        };
+        transcript.absorb_bytes(label, &c.to_bytes());
     }
-    for c in &lookup_z_comm {
-        transcript.absorb_bytes(b"lookup-z", &c.to_bytes());
-    }
-    for c in &shuffle_z_comm {
-        transcript.absorb_bytes(b"shuffle-z", &c.to_bytes());
-    }
+    // Where a product's polynomial sits in `z_polys` (commitment order).
+    let chunks = cs.permutation_chunks();
+    let z_slot = |c: Column| match c.kind {
+        ColumnKind::PermZ => c.index,
+        ColumnKind::LookupZ => chunks + c.index,
+        _ => chunks + cs.lookups.len() + c.index,
+    };
 
     let y: Fq = transcript.challenge_nonzero(b"y");
     let commit_elapsed = stage_start.elapsed();
@@ -456,9 +381,9 @@ pub fn prove_timed(
     // ------------------------------------------------------------------
     // Phase 4: quotient polynomial over the extended coset.
     // Every committed polynomial extends onto the coset in parallel, then
-    // one chunk-parallel pass accumulates every constraint term: each
-    // worker owns a contiguous slice of the accumulator and evaluates all
-    // terms, in the fixed fold order, over its own index range.
+    // one chunk-parallel pass accumulates every identity: each worker owns
+    // a contiguous slice of the accumulator and evaluates all of them, in
+    // the fixed fold order, over its own index range.
     // ------------------------------------------------------------------
     let ext_n = domain.extended_n;
     let ext_factor = ext_n / n;
@@ -466,193 +391,45 @@ pub fn prove_timed(
     let advice_cosets = to_extended_all(domain, &advice_polys, par);
     let instance_cosets = to_extended_all(domain, &instance_polys, par);
     let id_coset = identity_coset(domain);
-    let coset_src = CosetSource {
-        fixed: &pk.fixed_cosets,
-        advice: &advice_cosets,
-        instance: &instance_cosets,
-        identity: &id_coset,
-        ext_factor,
-    };
-    let perm_z_cosets = to_extended_all(domain, &perm_z_polys, par);
-    let lookup_z_cosets = to_extended_all(domain, &lookup_z_polys, par);
-    let shuffle_z_cosets = to_extended_all(domain, &shuffle_z_polys, par);
+    let z_cosets = to_extended_all(domain, &z_polys, par);
     let lookup_a_cosets = to_extended_all(domain, &lookup_a_polys, par);
     let lookup_s_cosets = to_extended_all(domain, &lookup_s_polys, par);
+    let coset_values = |c: Column| -> &[Fq] {
+        match c.kind {
+            ColumnKind::Fixed => &pk.fixed_cosets[c.index],
+            ColumnKind::Advice => &advice_cosets[c.index],
+            ColumnKind::Instance => &instance_cosets[c.index],
+            ColumnKind::Sigma => &pk.sigma_cosets[c.index],
+            ColumnKind::PermZ | ColumnKind::LookupZ | ColumnKind::ShuffleZ => &z_cosets[z_slot(c)],
+            ColumnKind::LookupA => &lookup_a_cosets[c.index],
+            ColumnKind::LookupS => &lookup_s_cosets[c.index],
+            ColumnKind::L0 => &pk.l0_coset,
+            ColumnKind::LLast => &pk.l_last_coset,
+            ColumnKind::LActive => &pk.l_active_coset,
+            ColumnKind::HPiece => unreachable!("the quotient is not a leaf of any identity"),
+        }
+    };
 
-    // Rotation shifts in coset points (reads wrap around the full coset).
-    let shift_of =
-        |rows: i64| -> usize { (rows * ext_factor as i64).rem_euclid(ext_n as i64) as usize };
-    let next_shift = shift_of(1);
-    let prev_shift = shift_of(-1);
-    let usable_shift = shift_of(u as i64);
-
+    let ids: Vec<_> = identities(cs, u, theta, beta, gamma).collect();
     let vinv = domain.vanishing_inv_on_extended();
     let vinv_period = vinv.len();
 
     let mut acc = vec![Fq::ZERO; ext_n];
     par_chunks_mut(par, &mut acc, MIN_COSET_CHUNK, |offset, out| {
-        let len = out.len();
         // Horner fold in `y`: per-index, so chunking cannot reorder it.
-        let fold = |out: &mut [Fq], term: &[Fq]| {
-            for (a, t) in out.iter_mut().zip(term) {
+        for id in &ids {
+            let term = eval_strided(
+                &id.expr,
+                &coset_values,
+                &id_coset,
+                ext_factor,
+                offset,
+                out.len(),
+            );
+            for (a, t) in out.iter_mut().zip(&term) {
                 *a = *a * y + *t;
             }
-        };
-
-        // (a) custom gates, gated by the active-row indicator.
-        for gate in &cs.gates {
-            for poly in &gate.polys {
-                let mut term = eval_extended_chunk(poly, &coset_src, ext_n, offset, len);
-                for (t, g) in term
-                    .iter_mut()
-                    .zip(&pk.l_active_coset[offset..offset + len])
-                {
-                    *t *= *g;
-                }
-                fold(out, &term);
-            }
         }
-
-        // (b) copy-constraint permutation.
-        for j in 0..chunks {
-            let z = &perm_z_cosets[j];
-            if j == 0 {
-                let term: Vec<Fq> = (0..len)
-                    .map(|i| pk.l0_coset[offset + i] * (z[offset + i] - Fq::ONE))
-                    .collect();
-                fold(out, &term);
-            } else {
-                let prev = &perm_z_cosets[j - 1];
-                let term: Vec<Fq> = (0..len)
-                    .map(|i| {
-                        let idx = offset + i;
-                        pk.l0_coset[idx] * (z[idx] - prev[(idx + usable_shift) % ext_n])
-                    })
-                    .collect();
-                fold(out, &term);
-            }
-            if j == chunks - 1 {
-                let term: Vec<Fq> = (0..len)
-                    .map(|i| pk.l_last_coset[offset + i] * (z[offset + i] - Fq::ONE))
-                    .collect();
-                fold(out, &term);
-            }
-            // Running product.
-            let chunk = &perm_cols[j * PERMUTATION_CHUNK
-                ..(j * PERMUTATION_CHUNK + PERMUTATION_CHUNK).min(perm_cols.len())];
-            let mut num = vec![Fq::ONE; len];
-            let mut den = vec![Fq::ONE; len];
-            for (ci, col) in chunk.iter().enumerate() {
-                let global_i = j * PERMUTATION_CHUNK + ci;
-                let k_i = VerifyingKey::coset_multiplier(global_i);
-                let vals = match col.kind {
-                    crate::expression::ColumnKind::Fixed => &pk.fixed_cosets[col.index],
-                    crate::expression::ColumnKind::Advice => &advice_cosets[col.index],
-                    crate::expression::ColumnKind::Instance => &instance_cosets[col.index],
-                };
-                let sigma = &pk.sigma_cosets[global_i];
-                for i in 0..len {
-                    let idx = offset + i;
-                    num[i] *= vals[idx] + beta * k_i * id_coset[idx] + gamma;
-                    den[i] *= vals[idx] + beta * sigma[idx] + gamma;
-                }
-            }
-            let term: Vec<Fq> = (0..len)
-                .map(|i| {
-                    let idx = offset + i;
-                    let z_next = z[(idx + next_shift) % ext_n];
-                    pk.l_active_coset[idx] * (z_next * den[i] - z[idx] * num[i])
-                })
-                .collect();
-            fold(out, &term);
-        }
-
-        // (c) lookups.
-        for l in 0..cs.lookups.len() {
-            let z = &lookup_z_cosets[l];
-            let ap = &lookup_a_cosets[l];
-            let sp = &lookup_s_cosets[l];
-            let inputs: Vec<Vec<Fq>> = cs.lookups[l]
-                .input
-                .iter()
-                .map(|e| eval_extended_chunk(e, &coset_src, ext_n, offset, len))
-                .collect();
-            let tables: Vec<Vec<Fq>> = cs.lookups[l]
-                .table
-                .iter()
-                .map(|e| eval_extended_chunk(e, &coset_src, ext_n, offset, len))
-                .collect();
-            let a_comp = compress_rows(&inputs, theta);
-            let s_comp = compress_rows(&tables, theta);
-
-            let t1: Vec<Fq> = (0..len)
-                .map(|i| pk.l0_coset[offset + i] * (z[offset + i] - Fq::ONE))
-                .collect();
-            fold(out, &t1);
-            let t2: Vec<Fq> = (0..len)
-                .map(|i| pk.l_last_coset[offset + i] * (z[offset + i] - Fq::ONE))
-                .collect();
-            fold(out, &t2);
-            let t3: Vec<Fq> = (0..len)
-                .map(|i| {
-                    let idx = offset + i;
-                    let z_next = z[(idx + next_shift) % ext_n];
-                    pk.l_active_coset[idx]
-                        * (z_next * (ap[idx] + beta) * (sp[idx] + gamma)
-                            - z[idx] * (a_comp[i] + beta) * (s_comp[i] + gamma))
-                })
-                .collect();
-            fold(out, &t3);
-            let t4: Vec<Fq> = (0..len)
-                .map(|i| {
-                    let idx = offset + i;
-                    pk.l0_coset[idx] * (ap[idx] - sp[idx])
-                })
-                .collect();
-            fold(out, &t4);
-            let t5: Vec<Fq> = (0..len)
-                .map(|i| {
-                    let idx = offset + i;
-                    let ap_prev = ap[(idx + prev_shift) % ext_n];
-                    pk.l_active_coset[idx] * (ap[idx] - sp[idx]) * (ap[idx] - ap_prev)
-                })
-                .collect();
-            fold(out, &t5);
-        }
-
-        // (d) shuffles.
-        for (shuffle, z) in cs.shuffles.iter().zip(&shuffle_z_cosets) {
-            let inputs: Vec<Vec<Fq>> = shuffle
-                .input
-                .iter()
-                .map(|e| eval_extended_chunk(e, &coset_src, ext_n, offset, len))
-                .collect();
-            let targets: Vec<Vec<Fq>> = shuffle
-                .target
-                .iter()
-                .map(|e| eval_extended_chunk(e, &coset_src, ext_n, offset, len))
-                .collect();
-            let a_comp = compress_rows(&inputs, theta);
-            let b_comp = compress_rows(&targets, theta);
-            let t1: Vec<Fq> = (0..len)
-                .map(|i| pk.l0_coset[offset + i] * (z[offset + i] - Fq::ONE))
-                .collect();
-            fold(out, &t1);
-            let t2: Vec<Fq> = (0..len)
-                .map(|i| pk.l_last_coset[offset + i] * (z[offset + i] - Fq::ONE))
-                .collect();
-            fold(out, &t2);
-            let t3: Vec<Fq> = (0..len)
-                .map(|i| {
-                    let idx = offset + i;
-                    let z_next = z[(idx + next_shift) % ext_n];
-                    pk.l_active_coset[idx]
-                        * (z_next * (b_comp[i] + gamma) - z[idx] * (a_comp[i] + gamma))
-                })
-                .collect();
-            fold(out, &t3);
-        }
-
         // Divide by the vanishing polynomial (periodic over the coset).
         for (i, a) in out.iter_mut().enumerate() {
             *a *= vinv[(offset + i) % vinv_period];
@@ -683,24 +460,25 @@ pub fn prove_timed(
     // parallel; their transcript absorption (and every IPA round) stays
     // in fixed schedule order.
     // ------------------------------------------------------------------
-    let poly_of = |id: PolyId| -> (&Polynomial<Fq>, Fq) {
-        match id {
-            PolyId::Advice(i) => (&advice_polys[i], advice_blinds[i]),
-            PolyId::Fixed(i) => (&pk.fixed_polys[i], Fq::ZERO),
-            PolyId::Sigma(i) => (&pk.sigma_polys[i], Fq::ZERO),
-            PolyId::PermZ(j) => (&perm_z_polys[j], perm_z_blinds[j]),
-            PolyId::LookupA(l) => (&lookup_a_polys[l], lookup_a_blinds[l]),
-            PolyId::LookupS(l) => (&lookup_s_polys[l], lookup_s_blinds[l]),
-            PolyId::LookupZ(l) => (&lookup_z_polys[l], lookup_z_blinds[l]),
-            PolyId::ShuffleZ(s) => (&shuffle_z_polys[s], shuffle_z_blinds[s]),
-            PolyId::HPiece(j) => (&h_piece_polys[j], h_blinds[j]),
+    let poly_of = |c: Column| -> (&Polynomial<Fq>, Fq) {
+        match c.kind {
+            ColumnKind::Advice => (&advice_polys[c.index], advice_blinds[c.index]),
+            ColumnKind::Fixed => (&pk.fixed_polys[c.index], Fq::ZERO),
+            ColumnKind::Sigma => (&pk.sigma_polys[c.index], Fq::ZERO),
+            ColumnKind::PermZ | ColumnKind::LookupZ | ColumnKind::ShuffleZ => {
+                (&z_polys[z_slot(c)], z_blinds[z_slot(c)])
+            }
+            ColumnKind::LookupA => (&lookup_a_polys[c.index], lookup_a_blinds[c.index]),
+            ColumnKind::LookupS => (&lookup_s_polys[c.index], lookup_s_blinds[c.index]),
+            ColumnKind::HPiece => (&h_piece_polys[c.index], h_blinds[c.index]),
+            kind => unreachable!("{kind:?} is never opened"),
         }
     };
 
     let schedule = open_schedule(cs, u as i32, num_pieces);
-    let evals = par_map(par, &schedule, |_, (id, r)| {
-        let point = domain.rotate_omega(*r) * x;
-        poly_of(*id).0.eval(point)
+    let evals = par_map(par, &schedule, |_, q| {
+        let point = domain.rotate_omega(q.rotation.0) * x;
+        poly_of(q.column).0.eval(point)
     });
     for e in &evals {
         transcript.absorb_scalar(b"eval", e);
@@ -756,13 +534,15 @@ pub fn prove_timed(
         open_elapsed.as_nanos() as u64,
     );
 
+    let (perm_z, rest) = z_comm.split_at(chunks);
+    let (lookup_z, shuffle_z) = rest.split_at(cs.lookups.len());
     Ok((
         Proof {
             advice_commitments,
             lookup_permuted,
-            perm_z: perm_z_comm,
-            lookup_z: lookup_z_comm,
-            shuffle_z: shuffle_z_comm,
+            perm_z: perm_z.to_vec(),
+            lookup_z: lookup_z.to_vec(),
+            shuffle_z: shuffle_z.to_vec(),
             h_pieces: h_comm,
             evals,
             openings,

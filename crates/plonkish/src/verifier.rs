@@ -5,11 +5,11 @@
 //! evaluations, checks it against the quotient commitment, and verifies the
 //! batched IPA openings.
 
-use crate::circuit::PERMUTATION_CHUNK;
 use crate::eval::eval_at_point;
-use crate::expression::{ColumnKind, Query};
+use crate::expression::{Column, ColumnKind, Query};
+use crate::identities::identities;
 use crate::keygen::VerifyingKey;
-use crate::proof::{claims_by_rotation, eval_of, open_schedule, PolyId, Proof};
+use crate::proof::{claims_by_rotation, eval_of, instance_queries, open_schedule, Proof};
 use poneglyph_arith::{Fq, PrimeField};
 use poneglyph_curve::Pallas;
 use poneglyph_hash::Transcript;
@@ -101,8 +101,7 @@ fn verify_inner(
     let domain = &vk.domain;
     let n = domain.n;
     let u = vk.usable_rows;
-    let ext_factor = domain.extended_n / n;
-    let num_pieces = ext_factor - 1;
+    let num_pieces = domain.extended_n / n - 1;
     let chunks = cs.permutation_chunks();
 
     // Structural checks.
@@ -178,157 +177,60 @@ fn verify_inner(
         transcript.absorb_scalar(b"eval", e);
     }
 
-    // Instance evaluations (barycentric over the padded public vector).
-    let mut instance_evals: BTreeMap<Query, Fq> = BTreeMap::new();
-    for q in crate::proof::instance_queries(cs) {
+    // Every leaf of the identities at `x`: a claimed evaluation, unless the
+    // verifier computes it itself — the instance columns (barycentric over
+    // the padded public vector) and the row indicators (closed form).
+    let mut computed: BTreeMap<Query, Fq> = BTreeMap::new();
+    for q in instance_queries(cs) {
         let mut padded = instance[q.column.index].clone();
         padded.resize(n, Fq::ZERO);
         let point = domain.rotate_omega(q.rotation.0) * x;
-        instance_evals.insert(q, domain.eval_lagrange(&padded, point));
+        computed.insert(q, domain.eval_lagrange(&padded, point));
     }
-
-    let lookup_eval = |id: PolyId, r: i32| -> Result<Fq, VerifyError> {
-        eval_of(&schedule, &proof.evals, id, r)
-            .ok_or(VerifyError::Malformed("missing scheduled evaluation"))
-    };
-    let resolve = |q: Query| -> Fq {
-        match q.column.kind {
-            ColumnKind::Advice => eval_of(
-                &schedule,
-                &proof.evals,
-                PolyId::Advice(q.column.index),
-                q.rotation.0,
-            )
-            .expect("advice query in schedule"),
-            ColumnKind::Fixed => eval_of(
-                &schedule,
-                &proof.evals,
-                PolyId::Fixed(q.column.index),
-                q.rotation.0,
-            )
-            .expect("fixed query in schedule"),
-            ColumnKind::Instance => instance_evals[&q],
-        }
+    for (kind, value) in [
+        (ColumnKind::L0, vk.lagrange_eval(0, x)),
+        (ColumnKind::LLast, vk.lagrange_eval(u, x)),
+        (ColumnKind::LActive, vk.l_active_eval(x)),
+    ] {
+        computed.insert(Query::new(kind, 0, 0), value);
+    }
+    let at_x = |q: Query| -> Fq {
+        let claimed = || eval_of(&schedule, &proof.evals, q);
+        computed
+            .get(&q)
+            .copied()
+            .or_else(claimed)
+            .expect("every leaf is scheduled")
     };
 
-    // Protocol indicator evaluations.
-    let l0 = vk.lagrange_eval(0, x);
-    let l_last = vk.lagrange_eval(u, x);
-    let l_active = vk.l_active_eval(x);
-
-    // Fold the constraint terms in canonical order.
-    let mut folded = Fq::ZERO;
-    let fold = |acc: &mut Fq, term: Fq| {
-        *acc = *acc * y + term;
-    };
-
-    // (a) gates.
-    for gate in &cs.gates {
-        for poly in &gate.polys {
-            fold(&mut folded, l_active * eval_at_point(poly, x, &resolve));
-        }
-    }
-
-    // (b) permutation.
-    for j in 0..chunks {
-        let z_x = lookup_eval(PolyId::PermZ(j), 0)?;
-        let z_wx = lookup_eval(PolyId::PermZ(j), 1)?;
-        if j == 0 {
-            fold(&mut folded, l0 * (z_x - Fq::ONE));
-        } else {
-            let prev = lookup_eval(PolyId::PermZ(j - 1), u as i32)?;
-            fold(&mut folded, l0 * (z_x - prev));
-        }
-        if j == chunks - 1 {
-            fold(&mut folded, l_last * (z_x - Fq::ONE));
-        }
-        let chunk = &cs.permutation_columns[j * PERMUTATION_CHUNK
-            ..(j * PERMUTATION_CHUNK + PERMUTATION_CHUNK).min(cs.permutation_columns.len())];
-        let mut num = Fq::ONE;
-        let mut den = Fq::ONE;
-        for (ci, col) in chunk.iter().enumerate() {
-            let global_i = j * PERMUTATION_CHUNK + ci;
-            let k_i = VerifyingKey::coset_multiplier(global_i);
-            let val = resolve(Query {
-                column: *col,
-                rotation: crate::expression::Rotation::CUR,
-            });
-            let sigma = lookup_eval(PolyId::Sigma(global_i), 0)?;
-            num *= val + beta * k_i * x + gamma;
-            den *= val + beta * sigma + gamma;
-        }
-        fold(&mut folded, l_active * (z_wx * den - z_x * num));
-    }
-
-    // (c) lookups.
-    for l in 0..cs.lookups.len() {
-        let z_x = lookup_eval(PolyId::LookupZ(l), 0)?;
-        let z_wx = lookup_eval(PolyId::LookupZ(l), 1)?;
-        let ap = lookup_eval(PolyId::LookupA(l), 0)?;
-        let ap_prev = lookup_eval(PolyId::LookupA(l), -1)?;
-        let sp = lookup_eval(PolyId::LookupS(l), 0)?;
-        let mut a_comp = Fq::ZERO;
-        for e in &cs.lookups[l].input {
-            a_comp = a_comp * theta + eval_at_point(e, x, &resolve);
-        }
-        let mut s_comp = Fq::ZERO;
-        for e in &cs.lookups[l].table {
-            s_comp = s_comp * theta + eval_at_point(e, x, &resolve);
-        }
-        fold(&mut folded, l0 * (z_x - Fq::ONE));
-        fold(&mut folded, l_last * (z_x - Fq::ONE));
-        fold(
-            &mut folded,
-            l_active
-                * (z_wx * (ap + beta) * (sp + gamma) - z_x * (a_comp + beta) * (s_comp + gamma)),
-        );
-        fold(&mut folded, l0 * (ap - sp));
-        fold(&mut folded, l_active * (ap - sp) * (ap - ap_prev));
-    }
-
-    // (d) shuffles.
-    for s in 0..cs.shuffles.len() {
-        let z_x = lookup_eval(PolyId::ShuffleZ(s), 0)?;
-        let z_wx = lookup_eval(PolyId::ShuffleZ(s), 1)?;
-        let mut a_comp = Fq::ZERO;
-        for e in &cs.shuffles[s].input {
-            a_comp = a_comp * theta + eval_at_point(e, x, &resolve);
-        }
-        let mut b_comp = Fq::ZERO;
-        for e in &cs.shuffles[s].target {
-            b_comp = b_comp * theta + eval_at_point(e, x, &resolve);
-        }
-        fold(&mut folded, l0 * (z_x - Fq::ONE));
-        fold(&mut folded, l_last * (z_x - Fq::ONE));
-        fold(
-            &mut folded,
-            l_active * (z_wx * (b_comp + gamma) - z_x * (a_comp + gamma)),
-        );
-    }
+    // Fold the identities in canonical order.
+    let folded = identities(cs, u, theta, beta, gamma).fold(Fq::ZERO, |acc, id| {
+        acc * y + eval_at_point(&id.expr, x, &at_x)
+    });
 
     // Quotient identity: folded == H(x)·(xⁿ − 1).
     let xn = x.pow(&[n as u64, 0, 0, 0]);
     let mut hx = Fq::ZERO;
     for j in (0..num_pieces).rev() {
-        let piece = lookup_eval(PolyId::HPiece(j), 0)?;
-        hx = hx * xn + piece;
+        hx = hx * xn + at_x(Query::new(ColumnKind::HPiece, j, 0));
     }
     if folded != hx * (xn - Fq::ONE) {
         return Err(VerifyError::QuotientViolation);
     }
 
     // Batched IPA openings.
-    let commitment_of = |id: PolyId| -> Pallas {
-        match id {
-            PolyId::Advice(i) => proof.advice_commitments[i].to_projective(),
-            PolyId::Fixed(i) => vk.fixed_commitments[i].to_projective(),
-            PolyId::Sigma(i) => vk.sigma_commitments[i].to_projective(),
-            PolyId::PermZ(j) => proof.perm_z[j].to_projective(),
-            PolyId::LookupA(l) => proof.lookup_permuted[l].0.to_projective(),
-            PolyId::LookupS(l) => proof.lookup_permuted[l].1.to_projective(),
-            PolyId::LookupZ(l) => proof.lookup_z[l].to_projective(),
-            PolyId::ShuffleZ(s) => proof.shuffle_z[s].to_projective(),
-            PolyId::HPiece(j) => proof.h_pieces[j].to_projective(),
+    let commitment_of = |c: Column| -> Pallas {
+        match c.kind {
+            ColumnKind::Advice => proof.advice_commitments[c.index].to_projective(),
+            ColumnKind::Fixed => vk.fixed_commitments[c.index].to_projective(),
+            ColumnKind::Sigma => vk.sigma_commitments[c.index].to_projective(),
+            ColumnKind::PermZ => proof.perm_z[c.index].to_projective(),
+            ColumnKind::LookupA => proof.lookup_permuted[c.index].0.to_projective(),
+            ColumnKind::LookupS => proof.lookup_permuted[c.index].1.to_projective(),
+            ColumnKind::LookupZ => proof.lookup_z[c.index].to_projective(),
+            ColumnKind::ShuffleZ => proof.shuffle_z[c.index].to_projective(),
+            ColumnKind::HPiece => proof.h_pieces[c.index].to_projective(),
+            kind => unreachable!("{kind:?} is never opened"),
         }
     };
 
@@ -340,9 +242,7 @@ fn verify_inner(
         let mut pow = Fq::ONE;
         for id in ids {
             combined = combined.add(&commitment_of(*id).mul(&pow));
-            let e = eval_of(&schedule, &proof.evals, *id, *r)
-                .ok_or(VerifyError::Malformed("missing group evaluation"))?;
-            combined_eval += pow * e;
+            combined_eval += pow * at_x(Query::new(id.kind, id.index, *r));
             pow *= v;
         }
         if !check_opening(
