@@ -134,19 +134,19 @@ pub struct AllowEntry {
     pub reason: String,
 }
 
-/// Analyzer configuration: the allow-list plus tunable thresholds.
+/// Warn when a single identity's degree exceeds this: the extension factor
+/// the shipped TPC-H circuits already require.
+const WARN_DEGREE: usize = 8;
+
+/// Analyzer configuration: the allow-list.
 #[derive(Clone, Debug, Default)]
 pub struct AnalyzerConfig {
     /// Waived findings (see [`AllowEntry`]).
     pub allow: Vec<AllowEntry>,
-    /// Warn when a single constraint's quotient-degree contribution exceeds
-    /// this (0 = the default of 8, the extension factor the shipped TPC-H
-    /// circuits already require).
-    pub warn_degree: usize,
 }
 
 impl AnalyzerConfig {
-    /// An empty configuration (nothing waived, default thresholds).
+    /// An empty configuration (nothing waived).
     pub fn new() -> Self {
         Self::default()
     }
@@ -164,20 +164,6 @@ impl AnalyzerConfig {
             reason: reason.into(),
         });
         self
-    }
-
-    /// Override the degree warning threshold (builder style).
-    pub fn with_warn_degree(mut self, warn_degree: usize) -> Self {
-        self.warn_degree = warn_degree;
-        self
-    }
-
-    fn warn_degree_or_default(&self) -> usize {
-        if self.warn_degree == 0 {
-            8
-        } else {
-            self.warn_degree
-        }
     }
 
     fn allow_reason(&self, finding: &Finding) -> Option<&str> {
@@ -573,7 +559,6 @@ pub fn analyze<F: PrimeField>(
         (Some(fixed), Some(n), Some(usable)) if usable > 0 => Some((fixed, n, usable)),
         _ => None,
     };
-    let warn_degree = config.warn_degree_or_default();
 
     // One audit used for gate polys and lookup/shuffle member expressions:
     // marks column usage (only when the expression can be live), checks
@@ -1086,13 +1071,13 @@ pub fn analyze<F: PrimeField>(
                 ),
             );
         }
-        if degree > warn_degree {
+        if degree > WARN_DEGREE {
             out.report(
                 Detector::DegreeBound,
                 Severity::Warn,
                 subject,
                 format!(
-                    "identity degree {degree} exceeds the review threshold {warn_degree}; \
+                    "identity degree {degree} exceeds the review threshold {WARN_DEGREE}; \
                      every unit of degree multiplies quotient FFT work"
                 ),
             );

@@ -1,11 +1,10 @@
 //! A small least-recently-used cache, optionally byte-budgeted.
 //!
-//! Originally the proof cache of `poneglyph-service`; it moved here so the
-//! session layer can reuse the same implementation to cap its key caches
-//! (mutation-driven digest churn would otherwise grow them without bound).
-//! Entries are cheap to keep next to what they guard (kilobytes of proof
-//! vs. seconds of proving; megabytes of proving key vs. seconds of
-//! keygen), so capacities are small and recency bookkeeping uses an
+//! The proof cache of `poneglyph-service`, and the verifier session's key
+//! cache (mutation-driven digest churn would otherwise grow it without
+//! bound). Entries are cheap to keep next to what they guard (kilobytes of
+//! proof vs. seconds of proving; a verifying key vs. its keygen), so
+//! capacities are small and recency bookkeeping uses an
 //! O(capacity) eviction scan rather than an intrusive list — simpler, and
 //! invisible next to the work a miss costs.
 //!

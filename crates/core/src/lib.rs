@@ -285,11 +285,9 @@ mod tests {
         assert_eq!(stats.keygens, 1);
         assert_eq!(stats.key_cache_hits, 2);
 
-        // The prover cached its (much bigger) key too.
+        // Proving again re-keys and proves the same result.
         let again = prover.prove(&plan, &mut rng).expect("prove again");
         assert_eq!(again.result, expected);
-        assert_eq!(prover.stats().keygens, 1);
-        assert_eq!(prover.stats().key_cache_hits, 1);
     }
 
     #[test]

@@ -1,31 +1,33 @@
-//! Session-oriented prover/verifier API: long-lived handles that cache
-//! compiled circuits and keys across queries.
+//! Session-oriented prover/verifier API: long-lived handles over one
+//! committed database (prover) or its public shape (verifier).
 //!
 //! The paper's deployment model (Figure 2) is a long-lived prover serving
-//! many queries against a committed database. A [`ProverSession`] /
-//! [`VerifierSession`] owns the parameters plus a database (or its public
-//! shape) and keeps a map from *canonical plan fingerprint* to the
-//! compiled keys, so serving or checking N responses for one plan compiles
-//! and keys exactly once.
+//! many queries against a committed database. A [`ProverSession`] owns the
+//! parameters plus the private database and keys every proof afresh: a
+//! query's literals are compiled into its fixed columns, so distinct
+//! queries never share a proving key, and a repeated query is answered by
+//! the serving layer's proof cache before it reaches the session. A
+//! [`VerifierSession`] owns the parameters plus the public shape and keeps
+//! a map from *canonical plan fingerprint* to the compiled verifying key,
+//! so checking N responses for one plan compiles and keys exactly once.
 //!
 //! [`VerifierSession::verify_batch`] goes further: the per-proof IPA
 //! opening checks — the verifier's dominant MSM cost — are folded into one
 //! random-linear-combination claim settled by a single MSM
 //! (Halo-style accumulation, paper §3.2).
 //!
-//! Both sessions use interior mutability (a mutex around the key map, an
-//! init-once slot per fingerprint, atomics for counters), so they can be
-//! shared across worker threads: the map lock is held only around
-//! lookups, and only threads racing on the *same not-yet-keyed plan* wait
-//! on each other — one of them runs the compile+keygen, the rest reuse
-//! it, so the one-keygen-per-plan invariant holds under concurrency.
+//! The verifier session uses interior mutability (a mutex around the key
+//! map, an init-once slot per fingerprint, atomics for counters), so it can
+//! be shared across threads: the map lock is held only around lookups, and
+//! only threads racing on the *same not-yet-keyed plan* wait on each other
+//! — one of them runs the compile+keygen, the rest reuse it, so the
+//! one-keygen-per-plan invariant holds under concurrency.
 //!
-//! Key caches are **bounded**: each session keeps at most
-//! [`DEFAULT_KEY_CACHE_CAPACITY`] fingerprints (tunable per session via
-//! `with_key_capacity`) in an [`LruCache`](crate::LruCache), so a
-//! long-running deployment — especially one whose databases mutate, every
-//! mutation minting a fresh digest and session — cannot grow key memory
-//! without bound. Evicting a plan only costs a re-keygen on its next use.
+//! Its key cache is **bounded**: at most [`DEFAULT_KEY_CACHE_CAPACITY`]
+//! fingerprints (tunable via `with_key_capacity`) in an
+//! [`LruCache`](crate::LruCache), so a long-running client cannot grow key
+//! memory without bound. Evicting a plan only costs a re-keygen on its
+//! next use.
 
 use crate::cache::LruCache;
 use crate::compiler::{compile, GateSet};
@@ -36,8 +38,7 @@ use poneglyph_hash::Transcript;
 use poneglyph_par::Parallelism;
 use poneglyph_pcs::{IpaAccumulator, IpaParams};
 use poneglyph_plonkish::{
-    keygen_pk_with, keygen_vk_with, prove_timed, verify, verify_accumulate, ProvingKey,
-    VerifyingKey,
+    keygen_pk_with, keygen_vk_with, prove_timed, verify, verify_accumulate, VerifyingKey,
 };
 use poneglyph_sql::{
     canonical_plan, canonical_plan_fingerprint, execute, Database, Plan, Schema, Table,
@@ -62,12 +63,12 @@ fn observe_verify(kind: &'static str, started: Instant) {
         .observe(started.elapsed().as_nanos() as u64);
 }
 
-/// Default bound on a session's per-fingerprint key cache. Proving keys
-/// are the largest per-plan artifact in the system; 64 distinct hot plans
-/// per database is generous, and eviction only costs a re-keygen.
+/// Default bound on a [`VerifierSession`]'s per-fingerprint verifying-key
+/// cache. 64 distinct hot plans per database is generous, and eviction
+/// only costs a re-keygen.
 pub const DEFAULT_KEY_CACHE_CAPACITY: usize = 64;
 
-/// Monotonic counters for one session's circuit/key work.
+/// Monotonic counters for one [`VerifierSession`]'s circuit/key work.
 ///
 /// The acceptance property of the session API is visible here: verifying N
 /// responses for one plan leaves `compiles == keygens == 1` and
@@ -76,71 +77,36 @@ pub const DEFAULT_KEY_CACHE_CAPACITY: usize = 64;
 pub struct SessionStats {
     /// Circuit structure compilations performed.
     pub compiles: u64,
-    /// Key generations performed (proving keys for a [`ProverSession`],
-    /// verifying keys for a [`VerifierSession`]).
+    /// Verifying-key generations performed.
     pub keygens: u64,
     /// Queries answered from the session's key cache without keygen.
     pub key_cache_hits: u64,
-    /// Nanoseconds this session's proofs spent in the prover's *commit*
-    /// stage (witness interpolation, lookup construction, grand products,
-    /// pre-quotient commitments). Always 0 for a [`VerifierSession`].
-    pub commit_nanos: u64,
-    /// Nanoseconds spent in the *quotient* stage (coset extension,
-    /// constraint accumulation, quotient commitments).
-    pub quotient_nanos: u64,
-    /// Nanoseconds spent in the *open* stage (schedule evaluations and
-    /// batched IPA openings).
-    pub open_nanos: u64,
 }
 
+#[derive(Default)]
 struct StatCounters {
     compiles: AtomicU64,
     keygens: AtomicU64,
     key_cache_hits: AtomicU64,
-    commit_nanos: AtomicU64,
-    quotient_nanos: AtomicU64,
-    open_nanos: AtomicU64,
 }
 
 impl StatCounters {
-    fn new() -> Self {
-        Self {
-            compiles: AtomicU64::new(0),
-            keygens: AtomicU64::new(0),
-            key_cache_hits: AtomicU64::new(0),
-            commit_nanos: AtomicU64::new(0),
-            quotient_nanos: AtomicU64::new(0),
-            open_nanos: AtomicU64::new(0),
-        }
-    }
-
     fn snapshot(&self) -> SessionStats {
         SessionStats {
             compiles: self.compiles.load(Ordering::SeqCst),
             keygens: self.keygens.load(Ordering::SeqCst),
             key_cache_hits: self.key_cache_hits.load(Ordering::SeqCst),
-            commit_nanos: self.commit_nanos.load(Ordering::SeqCst),
-            quotient_nanos: self.quotient_nanos.load(Ordering::SeqCst),
-            open_nanos: self.open_nanos.load(Ordering::SeqCst),
         }
     }
 }
 
-/// A cached proving key for one canonical plan.
-struct ProverKeyEntry {
-    /// Parameters truncated to the circuit's size.
-    params_k: IpaParams,
-    /// The proving key (fixed/σ tables shared across witnesses).
-    pk: ProvingKey,
-}
-
 /// A long-lived prover handle over one committed database.
 ///
-/// Owns the public parameters and the private [`Database`]; caches proving
-/// keys by canonical plan fingerprint, so repeated queries re-execute and
-/// re-witness but never re-run key generation. The database commitment is
-/// computed lazily on first [`digest`](Self::digest) and then pinned for
-/// the session's lifetime.
+/// Owns the public parameters and the private [`Database`]. Every
+/// [`prove`](Self::prove) executes, compiles, keys and proves — a proving
+/// key serves one proof. The database commitment is computed lazily on
+/// first [`digest`](Self::digest) and then pinned for the session's
+/// lifetime.
 pub struct ProverSession {
     params: IpaParams,
     db: Database,
@@ -148,30 +114,17 @@ pub struct ProverSession {
     /// Per-proof thread budget for key generation and proving; threaded
     /// down through the plonkish prover to the FFT and MSM layers.
     parallelism: Parallelism,
-    /// One init-once slot per canonical fingerprint (see
-    /// [`VerifierSession::prepared`] for why: concurrent first-time
-    /// queries must not duplicate the keygen), LRU-bounded.
-    keys: Mutex<LruCache<[u8; 32], Arc<OnceLock<Arc<ProverKeyEntry>>>>>,
-    stats: StatCounters,
 }
 
 impl ProverSession {
     /// Open a session over a private database. Commitment is deferred to
     /// the first [`digest`](Self::digest) call.
     pub fn new(params: IpaParams, db: Database) -> Self {
-        Self::with_key_capacity(params, db, DEFAULT_KEY_CACHE_CAPACITY)
-    }
-
-    /// [`new`](Self::new) with an explicit key-cache bound (`0` disables
-    /// key caching: every prove re-keys).
-    pub fn with_key_capacity(params: IpaParams, db: Database, capacity: usize) -> Self {
         Self {
             params,
             db,
             commitment: OnceLock::new(),
             parallelism: Parallelism::auto(),
-            keys: Mutex::new(LruCache::new(capacity)),
-            stats: StatCounters::new(),
         }
     }
 
@@ -242,32 +195,24 @@ impl ProverSession {
     /// Execute a query and produce a proof-carrying [`QueryResponse`].
     ///
     /// The plan is canonicalized first: the proof is of
-    /// [`canonical_plan`]`(plan)`, so every spelling of a query shares one
-    /// cached proving key (and, downstream, one proof-cache entry).
+    /// [`canonical_plan`]`(plan)`, so every spelling of a query yields the
+    /// same proof statement (and, downstream, one proof-cache entry).
     pub fn prove(&self, plan: &Plan, rng: &mut impl Rng) -> Result<QueryResponse, DbError> {
-        let plan = canonical_plan(plan);
-        let fingerprint = canonical_plan_fingerprint(&plan);
-        self.prove_canonical(&plan, fingerprint, rng)
+        self.prove_canonical(&canonical_plan(plan), rng)
     }
 
-    /// [`prove`](Self::prove) for a plan that is *already* canonical, with
-    /// its fingerprint precomputed — the serving layer computes both for
-    /// the proof-cache key and must not pay them twice.
-    ///
-    /// `fingerprint` must equal
-    /// [`canonical_plan_fingerprint`]`(plan)` for a canonical `plan`;
-    /// anything else poisons the session's key cache.
+    /// [`prove`](Self::prove) for a plan that is *already* canonical — the
+    /// serving layer canonicalizes once for the proof-cache key and must
+    /// not pay it twice.
     pub fn prove_canonical(
         &self,
         plan: &Plan,
-        fingerprint: [u8; 32],
         rng: &mut impl Rng,
     ) -> Result<QueryResponse, DbError> {
-        // The witness depends on the private data, so execution and
-        // compilation happen per call; only key generation is cacheable.
+        // The witness depends on the private data and the fixed columns on
+        // the query's literals, so every step runs per call.
         let trace = execute(&self.db, plan).map_err(|e| DbError::Execute(e.to_string()))?;
         let result = trace.output.clone();
-        self.stats.compiles.fetch_add(1, Ordering::SeqCst);
         let compiled =
             compile(&self.db, plan, Some(&trace), GateSet::default()).map_err(DbError::Compile)?;
         let k = compiled.asn.k;
@@ -277,66 +222,17 @@ impl ProverSession {
                 self.params.k
             )));
         }
-
-        let slot = {
-            let mut map = self.keys.lock().expect("keys lock");
-            map.get_or_insert_with(&fingerprint, Default::default)
-        };
-        let mut initialized_here = false;
-        let entry = slot.get_or_init(|| {
-            initialized_here = true;
-            self.stats.keygens.fetch_add(1, Ordering::SeqCst);
-            let params_k = self.params.truncate(k);
-            let pk = keygen_pk_with(&params_k, &compiled.cs, &compiled.asn, self.parallelism);
-            Arc::new(ProverKeyEntry { params_k, pk })
-        });
-        if !initialized_here {
-            self.stats.key_cache_hits.fetch_add(1, Ordering::SeqCst);
-        }
-        if entry.params_k.k != k {
-            // Unreachable for honest fingerprints (same plan + same data
-            // compile deterministically); guards the documented
-            // `prove_canonical` precondition.
-            return Err(DbError::Compile(
-                "cached key does not match this circuit (fingerprint mismatch?)".to_string(),
-            ));
-        }
-        let entry = Arc::clone(entry);
-
+        let params_k = self.params.truncate(k);
+        let pk = keygen_pk_with(&params_k, &compiled.cs, &compiled.asn, self.parallelism);
         let instance = compiled.instance.clone();
-        let (proof, timings) = prove_timed(
-            &entry.params_k,
-            &entry.pk,
-            compiled.asn,
-            rng,
-            self.parallelism,
-        )
-        .map_err(|e| DbError::Prove(e.to_string()))?;
-        self.stats
-            .commit_nanos
-            .fetch_add(timings.commit.as_nanos() as u64, Ordering::SeqCst);
-        self.stats
-            .quotient_nanos
-            .fetch_add(timings.quotient.as_nanos() as u64, Ordering::SeqCst);
-        self.stats
-            .open_nanos
-            .fetch_add(timings.open.as_nanos() as u64, Ordering::SeqCst);
+        let (proof, _) = prove_timed(&params_k, &pk, compiled.asn, rng, self.parallelism)
+            .map_err(|e| DbError::Prove(e.to_string()))?;
         Ok(QueryResponse {
             result,
             instance,
             proof,
             k,
         })
-    }
-
-    /// A snapshot of the session's work counters.
-    pub fn stats(&self) -> SessionStats {
-        self.stats.snapshot()
-    }
-
-    /// Number of plans currently holding a cached proving key.
-    pub fn key_cache_len(&self) -> usize {
-        self.keys.lock().expect("keys lock").len()
     }
 }
 
@@ -389,7 +285,7 @@ impl VerifierSession {
             params,
             shape,
             prepared: Mutex::new(LruCache::new(capacity)),
-            stats: StatCounters::new(),
+            stats: StatCounters::default(),
         }
     }
 

@@ -61,8 +61,10 @@ impl VerifyingKey {
     }
 }
 
-/// The prover's key: everything in the verifying key plus the actual
-/// polynomials (coefficient and extended forms).
+/// The prover's key: everything in the verifying key plus the fixed and σ
+/// columns in Lagrange and coefficient form. Extended-coset values are not
+/// part of the key: [`prove_timed`](crate::prove_timed) derives them per
+/// proof.
 #[derive(Clone, Debug)]
 pub struct ProvingKey {
     /// The embedded verifying key.
@@ -71,20 +73,10 @@ pub struct ProvingKey {
     pub fixed_polys: Vec<Polynomial<Fq>>,
     /// Fixed column values (Lagrange form).
     pub fixed_values: Vec<Vec<Fq>>,
-    /// Fixed columns over the extended coset.
-    pub fixed_cosets: Vec<Vec<Fq>>,
     /// Permutation σ values in Lagrange form (per permutation column).
     pub sigma_values: Vec<Vec<Fq>>,
     /// Permutation σ polynomials.
     pub sigma_polys: Vec<Polynomial<Fq>>,
-    /// Permutation σ over the extended coset.
-    pub sigma_cosets: Vec<Vec<Fq>>,
-    /// `l₀` over the extended coset.
-    pub l0_coset: Vec<Fq>,
-    /// `l_last` (at the boundary row) over the extended coset.
-    pub l_last_coset: Vec<Fq>,
-    /// Active-row indicator over the extended coset.
-    pub l_active_coset: Vec<Fq>,
 }
 
 /// Union-find over permutation cells.
@@ -118,12 +110,12 @@ impl Dsu {
 /// read-only views over the [`poneglyph_obs`] global metrics registry, the
 /// same series the serving layer exposes over `/metrics`
 /// (`poneglyph_keygens_total{kind=...}` and
-/// `poneglyph_span_nanos{span="prove.*"}`). Per-session stage timings live
-/// in `SessionStats`; these views aggregate across the whole process.
+/// `poneglyph_span_nanos{span="prove.*"}`), aggregated across the whole
+/// process.
 ///
 /// Tests use the counters to assert *which* keygen path ran — e.g. that
 /// the verifier never materializes prover-only tables (no [`keygen_pk_with`]
-/// call) and that a session caches keys instead of regenerating them. The
+/// call) and that a prover keys once per proof. The
 /// counters are monotonic and process-global; assert on deltas from a
 /// single-test binary, not absolute values.
 pub mod instrument {
@@ -169,8 +161,8 @@ pub mod instrument {
     }
 
     /// Number of [`keygen_pk_with`](super::keygen_pk_with) calls so far — i.e. how
-    /// many times the prover-only tables (extended cosets, σ/fixed
-    /// polynomials) were materialized.
+    /// many times the prover-only tables (σ/fixed values and polynomials)
+    /// were retained for proving.
     pub fn pk_keygens() -> u64 {
         keygen_counter("pk").get()
     }
@@ -185,38 +177,14 @@ pub mod instrument {
 }
 
 /// Everything both keys need: the domain, the fixed/σ polynomials in
-/// coefficient and Lagrange form, and their commitments. [`keygen_vk_with`]
-/// keeps only the commitments; [`keygen_pk_with`] additionally extends the
-/// polynomials over the coset (the prover-only tables).
-struct KeygenTables {
-    domain: EvaluationDomain<Fq>,
-    usable: usize,
-    fixed_values: Vec<Vec<Fq>>,
-    fixed_polys: Vec<Polynomial<Fq>>,
-    fixed_commitments: Vec<PallasAffine>,
-    sigma_values: Vec<Vec<Fq>>,
-    sigma_polys: Vec<Polynomial<Fq>>,
-    sigma_commitments: Vec<PallasAffine>,
-}
-
-impl KeygenTables {
-    fn into_vk(self, cs: &ConstraintSystem<Fq>) -> VerifyingKey {
-        VerifyingKey {
-            domain: self.domain,
-            cs: cs.clone(),
-            usable_rows: self.usable,
-            fixed_commitments: self.fixed_commitments,
-            sigma_commitments: self.sigma_commitments,
-        }
-    }
-}
-
-fn build_tables(
+/// coefficient and Lagrange form, and their commitments, gathered as a
+/// full [`ProvingKey`]. [`keygen_vk_with`] keeps only its verifying key.
+fn build_key(
     params: &IpaParams,
     cs: &ConstraintSystem<Fq>,
     asn: &Assignment<Fq>,
     par: Parallelism,
-) -> KeygenTables {
+) -> ProvingKey {
     assert_eq!(
         params.k, asn.k,
         "parameter capacity 2^{} must match circuit size 2^{}",
@@ -280,85 +248,6 @@ fn build_tables(
     let sigma_polys = crate::prover::to_coeff_all(&domain, &sigma_values, par);
     let sigma_commitments = crate::prover::commit_all(params, &sigma_polys, None, par);
 
-    KeygenTables {
-        domain,
-        usable,
-        fixed_values,
-        fixed_polys,
-        fixed_commitments,
-        sigma_values,
-        sigma_polys,
-        sigma_commitments,
-    }
-}
-
-/// Generate only the verifying key from a circuit shape and a
-/// representative assignment.
-///
-/// This is the verifier-side path: the fixed/σ polynomials are committed
-/// and then *dropped* — none of the prover-only tables (extended cosets,
-/// indicator cosets, retained polynomial forms) are materialized, so a
-/// verifier re-deriving keys per query pays roughly half the FFT work and
-/// a fraction of the memory of a full [`keygen_pk_with`]. The key is
-/// identical at any thread budget.
-pub fn keygen_vk_with(
-    params: &IpaParams,
-    cs: &ConstraintSystem<Fq>,
-    asn: &Assignment<Fq>,
-    par: Parallelism,
-) -> VerifyingKey {
-    instrument::count_vk();
-    let _span = poneglyph_obs::span("keygen.vk");
-    build_tables(params, cs, asn, par).into_vk(cs)
-}
-
-/// Generate the full proving key (verifying key embedded) from a circuit
-/// shape and a representative assignment (fixed columns and copy
-/// constraints must be identical at proving time). The fixed/σ
-/// interpolations, their commitments and every extended-coset table are
-/// computed on scoped workers; the key is identical at any budget.
-pub fn keygen_pk_with(
-    params: &IpaParams,
-    cs: &ConstraintSystem<Fq>,
-    asn: &Assignment<Fq>,
-    par: Parallelism,
-) -> ProvingKey {
-    instrument::count_pk();
-    let _span = poneglyph_obs::span("keygen.pk");
-    let tables = build_tables(params, cs, asn, par);
-    let domain = &tables.domain;
-    let n = domain.n;
-    let usable = tables.usable;
-
-    // Prover-only tables: everything over the extended coset.
-    let fixed_cosets = crate::prover::to_extended_all(domain, &tables.fixed_polys, par);
-    let sigma_cosets = crate::prover::to_extended_all(domain, &tables.sigma_polys, par);
-
-    // Protocol indicator polynomials.
-    let mut l0 = vec![Fq::ZERO; n];
-    l0[0] = Fq::ONE;
-    let mut l_last = vec![Fq::ZERO; n];
-    l_last[usable] = Fq::ONE;
-    let mut l_active = vec![Fq::ZERO; n];
-    for v in l_active[..usable].iter_mut() {
-        *v = Fq::ONE;
-    }
-    let l0_coset = domain.coeff_to_extended_with(&domain.lagrange_to_coeff_with(l0, par), par);
-    let l_last_coset =
-        domain.coeff_to_extended_with(&domain.lagrange_to_coeff_with(l_last, par), par);
-    let l_active_coset =
-        domain.coeff_to_extended_with(&domain.lagrange_to_coeff_with(l_active, par), par);
-
-    let KeygenTables {
-        domain,
-        usable,
-        fixed_values,
-        fixed_polys,
-        fixed_commitments,
-        sigma_values,
-        sigma_polys,
-        sigma_commitments,
-    } = tables;
     ProvingKey {
         vk: VerifyingKey {
             domain,
@@ -369,14 +258,44 @@ pub fn keygen_pk_with(
         },
         fixed_polys,
         fixed_values,
-        fixed_cosets,
         sigma_values,
         sigma_polys,
-        sigma_cosets,
-        l0_coset,
-        l_last_coset,
-        l_active_coset,
     }
+}
+
+/// Generate only the verifying key from a circuit shape and a
+/// representative assignment.
+///
+/// This is the verifier-side path: the fixed/σ polynomials are committed
+/// and then *dropped* — the prover-only tables (retained Lagrange and
+/// coefficient forms) are not kept, so a verifier re-deriving keys per
+/// query holds a fraction of the memory of a full [`keygen_pk_with`]. The
+/// key is identical at any thread budget.
+pub fn keygen_vk_with(
+    params: &IpaParams,
+    cs: &ConstraintSystem<Fq>,
+    asn: &Assignment<Fq>,
+    par: Parallelism,
+) -> VerifyingKey {
+    instrument::count_vk();
+    let _span = poneglyph_obs::span("keygen.vk");
+    build_key(params, cs, asn, par).vk
+}
+
+/// Generate the full proving key (verifying key embedded) from a circuit
+/// shape and a representative assignment (fixed columns and copy
+/// constraints must be identical at proving time). The fixed/σ
+/// interpolations and their commitments are computed on scoped workers;
+/// the key is identical at any budget.
+pub fn keygen_pk_with(
+    params: &IpaParams,
+    cs: &ConstraintSystem<Fq>,
+    asn: &Assignment<Fq>,
+    par: Parallelism,
+) -> ProvingKey {
+    instrument::count_pk();
+    let _span = poneglyph_obs::span("keygen.pk");
+    build_key(params, cs, asn, par)
 }
 
 #[cfg(test)]

@@ -11,10 +11,12 @@
 //!   commitments (parallel MSMs), per-lookup permuted-column construction,
 //!   and per-chunk grand-product numerators/denominators all fan out
 //!   across scoped workers;
-//! * **quotient** — every committed polynomial is extended onto the coset
-//!   in parallel, then **one** chunk-parallel pass accumulates every
-//!   constraint term over contiguous coset ranges (no worker materializes
-//!   a full-coset temporary);
+//! * **quotient** — every polynomial an identity reads (the witness
+//!   columns and, since the proving key holds no coset tables, the fixed,
+//!   σ and indicator columns too) is extended onto the coset in parallel,
+//!   then **one** chunk-parallel pass accumulates every constraint term
+//!   over contiguous coset ranges (no worker materializes a full-coset
+//!   temporary);
 //! * **open** — schedule evaluations run per-claim in parallel and the IPA
 //!   folding rounds split their vector updates across workers.
 //!
@@ -380,7 +382,8 @@ pub fn prove_timed(
 
     // ------------------------------------------------------------------
     // Phase 4: quotient polynomial over the extended coset.
-    // Every committed polynomial extends onto the coset in parallel, then
+    // Every polynomial an identity reads — key columns, protocol
+    // indicators and witness alike — extends onto the coset in parallel, then
     // one chunk-parallel pass accumulates every identity: each worker owns
     // a contiguous slice of the accumulator and evaluates all of them, in
     // the fixed fold order, over its own index range.
@@ -388,6 +391,24 @@ pub fn prove_timed(
     let ext_n = domain.extended_n;
     let ext_factor = ext_n / n;
     let instance_polys = to_coeff_all(domain, &asn.instance, par);
+    let indicator = |rows: std::ops::Range<usize>| {
+        let mut v = vec![Fq::ZERO; n];
+        v[rows].fill(Fq::ONE);
+        v
+    };
+    // `l₀`, `l_last` (the boundary row) and `l_active`, in that order; the
+    // Lagrange and coefficient forms are temporaries.
+    let indicator_ext = to_extended_all(
+        domain,
+        &to_coeff_all(
+            domain,
+            &[indicator(0..1), indicator(u..u + 1), indicator(0..u)],
+            par,
+        ),
+        par,
+    );
+    let fixed_ext = to_extended_all(domain, &pk.fixed_polys, par);
+    let sigma_ext = to_extended_all(domain, &pk.sigma_polys, par);
     let advice_cosets = to_extended_all(domain, &advice_polys, par);
     let instance_cosets = to_extended_all(domain, &instance_polys, par);
     let id_coset = identity_coset(domain);
@@ -396,16 +417,16 @@ pub fn prove_timed(
     let lookup_s_cosets = to_extended_all(domain, &lookup_s_polys, par);
     let coset_values = |c: Column| -> &[Fq] {
         match c.kind {
-            ColumnKind::Fixed => &pk.fixed_cosets[c.index],
+            ColumnKind::Fixed => &fixed_ext[c.index],
             ColumnKind::Advice => &advice_cosets[c.index],
             ColumnKind::Instance => &instance_cosets[c.index],
-            ColumnKind::Sigma => &pk.sigma_cosets[c.index],
+            ColumnKind::Sigma => &sigma_ext[c.index],
             ColumnKind::PermZ | ColumnKind::LookupZ | ColumnKind::ShuffleZ => &z_cosets[z_slot(c)],
             ColumnKind::LookupA => &lookup_a_cosets[c.index],
             ColumnKind::LookupS => &lookup_s_cosets[c.index],
-            ColumnKind::L0 => &pk.l0_coset,
-            ColumnKind::LLast => &pk.l_last_coset,
-            ColumnKind::LActive => &pk.l_active_coset,
+            ColumnKind::L0 => &indicator_ext[0],
+            ColumnKind::LLast => &indicator_ext[1],
+            ColumnKind::LActive => &indicator_ext[2],
             ColumnKind::HPiece => unreachable!("the quotient is not a leaf of any identity"),
         }
     };

@@ -16,12 +16,12 @@ use std::collections::BTreeMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-/// One hosted database: the prover session (private data + cached proving
-/// keys), the public shape, the SQL catalog, and per-database counters.
+/// One hosted database: the prover session (private data), the public
+/// shape, the SQL catalog, and per-database counters.
 pub(crate) struct DbEntry {
     /// The commitment digest addressing this database.
     pub digest: [u8; 64],
-    /// The prover session (owns the private data and cached keys).
+    /// The prover session (owns the private data).
     pub session: ProverSession,
     /// The public shape (schemas + row counts, zeroed values).
     pub shape: Database,

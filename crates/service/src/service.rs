@@ -3,14 +3,15 @@
 //!
 //! This is the paper's Figure 2 deployment model as a running system: the
 //! service hosts a digest-addressed [`DatabaseRegistry`] of committed
-//! private [`Database`]s (each wrapped in a key-caching
+//! private [`Database`]s (each wrapped in a
 //! [`ProverSession`](poneglyph_core::ProverSession)), accepts planned
 //! queries — or raw SQL text, planned server-side — through a *bounded*
 //! job queue, proves them on a pool of worker threads, and serves repeated
 //! queries from an LRU proof cache keyed by `(database digest, plan
 //! fingerprint)`. Identical queries in flight at the same time are
 //! deduplicated: the second waits for the first proof instead of proving
-//! again.
+//! again. The proof cache is the only prover-side cache; a session keys
+//! every proof it generates.
 
 use crate::registry::{digest_hex, DatabaseRegistry, DbEntry};
 use poneglyph_core::{
@@ -381,8 +382,8 @@ impl ProvingService {
     /// Commit to `db` and host it; returns the digest that now addresses
     /// it. Re-attaching an already-hosted digest *replaces* its entry — the
     /// SQL catalog and primary-key metadata take effect and that database's
-    /// counters (and cached proving keys) restart; cached proofs stay valid
-    /// because the committed state is identical.
+    /// counters restart; cached proofs stay valid because the committed
+    /// state is identical.
     pub fn attach(&self, db: Database) -> [u8; 64] {
         self.attach_with_pks(db, &[])
     }
@@ -663,15 +664,6 @@ impl ProvingService {
         self.submit_on(digest, plan)?.wait()
     }
 
-    /// Parse and plan SQL text against the database addressed by `digest`
-    /// (server-side planning: the client never needs the string
-    /// dictionary). Returns the *canonical* plan — the form the proof will
-    /// be generated for and must be verified against.
-    pub fn plan_sql(&self, digest: &[u8; 64], sql: &str) -> Result<Plan, ServiceError> {
-        let entry = self.resolve(digest)?;
-        plan_on_entry(&entry, sql)
-    }
-
     /// Plan SQL text server-side, then submit and wait. Returns the
     /// canonical plan alongside the response so the caller can verify
     /// exactly what was proven.
@@ -889,11 +881,11 @@ fn serve_one(
     entry.proofs_generated.fetch_add(1, Ordering::SeqCst);
     shared.metrics.cache_misses.inc();
     shared.metrics.proofs_generated.inc();
-    // One canonicalization + fingerprint per request: the session reuses
-    // the values computed above for the cache key.
+    // One canonicalization per request: the session reuses the plan
+    // computed above for the cache key.
     let outcome = entry
         .session
-        .prove_canonical(&plan, fingerprint, rng)
+        .prove_canonical(&plan, rng)
         .map(Arc::new)
         .map_err(|e| ServiceError::Prove(e.to_string()));
 
@@ -1090,28 +1082,6 @@ mod tests {
         // `0` resolves to a concrete budget rather than staying zero.
         let (auto, _) = host(tiny_db(), ServiceConfig::default());
         assert!(auto.stats().prover_threads >= 1);
-    }
-
-    #[test]
-    fn session_stats_report_prover_stage_times() {
-        let (service, digest) = host(tiny_db(), ServiceConfig::default());
-        service.query_on(&digest, filter_plan(20)).expect("prove");
-        let registry = service.shared.registry.read().expect("registry");
-        let entry = registry.get(&digest).expect("entry");
-        let stats = entry.session.stats();
-        assert!(stats.commit_nanos > 0, "commit stage was timed");
-        assert!(stats.quotient_nanos > 0, "quotient stage was timed");
-        assert!(stats.open_nanos > 0, "open stage was timed");
-        // Monotone: a second (cache-missing) proof only grows them.
-        drop(registry);
-        service
-            .query_on(&digest, filter_plan(25))
-            .expect("second prove");
-        let registry = service.shared.registry.read().expect("registry");
-        let after = registry.get(&digest).expect("entry").session.stats();
-        assert!(after.commit_nanos >= stats.commit_nanos);
-        assert!(after.quotient_nanos >= stats.quotient_nanos);
-        assert!(after.open_nanos >= stats.open_nanos);
     }
 
     #[test]

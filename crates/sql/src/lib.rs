@@ -34,15 +34,6 @@ pub use wire::{
     write_string, ByteReader, WireError, PLAN_WIRE_VERSION,
 };
 
-/// Convenience: parse, plan and execute a SQL string against a database.
-pub fn run_sql(db: &mut Database, catalog: &Catalog, sql: &str) -> Result<Executed, String> {
-    let stmt = parse(sql)?;
-    let mut dict = db.dict.clone();
-    let plan = plan_query(&stmt, catalog, &mut dict)?;
-    db.dict = dict;
-    execute(db, &plan).map_err(|e| e.to_string())
-}
-
 /// Build a [`Catalog`] from a database plus primary-key annotations.
 pub fn catalog_of(db: &Database, pks: &[(&str, &str)]) -> Catalog {
     let mut c = Catalog::default();

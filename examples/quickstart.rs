@@ -50,8 +50,7 @@ fn main() {
     let plan = plan_query(&stmt, &catalog, &mut dict).expect("plan");
 
     // 3. The prover opens a long-lived session over its private database
-    //    and answers with a non-interactive ZK proof. Repeat queries reuse
-    //    the cached proving key.
+    //    and answers with a non-interactive ZK proof (keygen + prove).
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
     let prover = ProverSession::new(params.clone(), db.clone());
     let response = prover.prove(&plan, &mut rng).expect("prove");

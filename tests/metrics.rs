@@ -9,8 +9,7 @@
 
 use poneglyphdb::prelude::*;
 use poneglyphdb::service::{digest_hex, ServiceServer};
-use poneglyphdb::sql::{CmpOp, ColumnType, Predicate, Schema};
-use rand::{rngs::StdRng, SeedableRng};
+use poneglyphdb::sql::{ColumnType, Schema};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -242,38 +241,4 @@ fn http_endpoint_serves_the_same_exposition() {
     assert!(response.starts_with("HTTP/1.0 404"), "{response}");
 
     http.stop();
-}
-
-#[test]
-fn stage_timings_stay_per_session() {
-    // The global registry aggregates across the process, but SessionStats
-    // must remain *this* session's work: proving on one session leaves a
-    // sibling's stage counters untouched.
-    let db = test_db();
-    let params = IpaParams::setup(11);
-    let worked = ProverSession::new(params.clone(), db.clone());
-    let idle = ProverSession::new(params, db);
-
-    let plan = Plan::Filter {
-        input: Box::new(Plan::Scan { table: "t".into() }),
-        predicates: vec![Predicate::ColConst {
-            col: 2,
-            op: CmpOp::Ge,
-            value: 20,
-        }],
-    };
-    let mut rng = StdRng::seed_from_u64(17);
-    worked.prove(&plan, &mut rng).expect("prove");
-
-    let busy = worked.stats();
-    assert!(
-        busy.commit_nanos > 0 && busy.quotient_nanos > 0 && busy.open_nanos > 0,
-        "the proving session must accumulate all three stages: {busy:?}"
-    );
-    let quiet = idle.stats();
-    assert_eq!(
-        (quiet.commit_nanos, quiet.quotient_nanos, quiet.open_nanos),
-        (0, 0, 0),
-        "an idle sibling session must not inherit global stage time"
-    );
 }

@@ -1,4 +1,5 @@
-//! Verification must never materialize prover-only tables.
+//! Verification must never materialize prover-only tables, and a proving
+//! key serves exactly one proof.
 //!
 //! This file deliberately holds a single test: it asserts on the
 //! process-global keygen instrumentation counters, which only gives a
@@ -33,11 +34,18 @@ fn verification_performs_no_prover_keygen() {
     let params = IpaParams::setup(11);
     let mut rng = rand::rngs::StdRng::seed_from_u64(17);
     let prover = ProverSession::new(params.clone(), db.clone());
+    let pk_start = instrument::pk_keygens();
     let response = prover.prove(&plan, &mut rng).expect("prove");
+    let again = prover.prove(&plan, &mut rng).expect("prove again");
+    assert_eq!(again.result, response.result);
+    assert_eq!(
+        instrument::pk_keygens(),
+        pk_start + 2,
+        "the prover keeps no key cache: two proofs of one plan, two keygens"
+    );
 
-    // From here on, nothing may build prover tables (extended cosets,
-    // σ/fixed polynomial forms): verification routes through
-    // keygen_vk_with.
+    // From here on, nothing may build prover tables (σ/fixed polynomial
+    // forms): verification routes through keygen_vk_with.
     let pk0 = instrument::pk_keygens();
     let vk0 = instrument::vk_keygens();
 
