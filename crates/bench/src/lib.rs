@@ -2,8 +2,8 @@
 //!
 //! Shared measurement machinery for regenerating the paper's evaluation:
 //! a peak-tracking global allocator (the memory axis of Figures 7/10), wall
-//! timers, and the experiment drivers the `repro` binary and the Criterion
-//! benches share.
+//! timers, and the experiment drivers of the `repro` binary, the one way
+//! to regenerate a paper table or figure.
 
 use poneglyph_baselines::{libra, sqlcirc, zksql};
 use poneglyph_core::{GateSet, Parallelism, ProverSession, VerifierSession};

@@ -15,10 +15,10 @@ use poneglyph_plonkish::{Assignment, Cell, Column, ConstraintSystem, Expression,
 use poneglyph_sql::{AggFunc, CmpOp, Database, Executed, Plan, Predicate, ScalarExpr};
 use std::collections::HashMap;
 
-/// Which constraint families to emit — used by the Figure 8/9 breakdown
-/// benches ("circuit without any gates" etc.). Witness layout and
-/// commitments are identical in every configuration; only the constraints
-/// differ.
+/// Which constraint families to emit — `repro fig8`/`fig9` ablate them
+/// ("circuit without any gates" etc.) and the ZKSQL baseline swaps in
+/// bitwise range checks. Witness layout and commitments are identical in
+/// every configuration; only the constraints differ.
 #[derive(Clone, Copy, Debug)]
 pub struct GateSet {
     /// Emit filter comparison gates.

@@ -13,7 +13,6 @@ mod cache;
 mod compiler;
 mod db;
 mod encode;
-pub mod extras;
 pub mod mutate;
 mod session;
 mod wire;

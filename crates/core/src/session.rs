@@ -136,11 +136,6 @@ impl ProverSession {
         self
     }
 
-    /// The session's per-proof thread budget.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
     /// Open a session over a database whose commitment is *already known*
     /// — the incremental-update path: a mutation engine that
     /// homomorphically advanced a previous state's commitment

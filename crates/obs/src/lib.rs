@@ -22,8 +22,8 @@
 //!   responder answering `GET /metrics`, for pull-model scrapers.
 //!
 //! Instrumentation is process-globally switchable: [`set_enabled`]`(false)`
-//! turns every recording call into a cheap no-op, which is how the
-//! overhead bench and the proof-determinism test isolate the
+//! turns every recording call into the [`global`] registry into a cheap
+//! no-op, which is how the proof-determinism test isolates the
 //! instrumentation's effect. Proof bytes are identical either way —
 //! recording only ever observes wall-clock time, it never touches
 //! transcripts or randomness.
@@ -65,8 +65,8 @@ pub fn enabled() -> bool {
 ///
 /// While disabled, counter/gauge/histogram updates, span recording and
 /// request tracing are no-ops (already-recorded values remain visible in
-/// [`MetricsRegistry::render`]). Used by the overhead bench and the
-/// determinism test to compare instrumented vs. uninstrumented runs.
+/// [`MetricsRegistry::render`]). The determinism test compares runs with
+/// it on and off; a proving service's own counters always record.
 pub fn set_enabled(on: bool) {
     global().set_enabled(on);
 }

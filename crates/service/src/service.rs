@@ -26,7 +26,7 @@ use poneglyph_sql::{
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -55,9 +55,6 @@ pub struct ServiceConfig {
     /// evicted once the total exceeds it. `0` disables the byte bound —
     /// only `cache_capacity` applies.
     pub cache_bytes: usize,
-    /// Bound of the job queue; submissions beyond it block (or are
-    /// rejected by [`ProvingService::try_submit_on`]).
-    pub queue_depth: usize,
     /// Seed for the workers' proof-blinding randomness.
     pub seed: u64,
 }
@@ -71,7 +68,6 @@ impl Default for ServiceConfig {
             prover_threads: 0,
             cache_capacity: 64,
             cache_bytes: 64 << 20,
-            queue_depth: 64,
             seed: 0x706f_6e65,
         }
     }
@@ -80,8 +76,6 @@ impl Default for ServiceConfig {
 /// Errors surfaced to a service caller.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServiceError {
-    /// The bounded queue was full (backpressure).
-    QueueFull,
     /// The query could not be proven (planning, execution or prover error).
     Prove(String),
     /// The service shut down before answering.
@@ -98,7 +92,6 @@ pub enum ServiceError {
 impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServiceError::QueueFull => write!(f, "job queue full"),
             ServiceError::Prove(e) => write!(f, "proving failed: {e}"),
             ServiceError::Shutdown => write!(f, "service shut down"),
             ServiceError::UnknownDatabase(d) => write!(f, "no database with digest {d}"),
@@ -217,12 +210,12 @@ impl Job {
     }
 }
 
-/// Handles into the global metrics registry, resolved once at service
+/// The service's own metrics registry and its handles, resolved once at
 /// construction so the hot path never takes the registration mutex. The
-/// counters mirror the `Shared` atomics (which remain authoritative for
-/// [`ProvingService::stats`]); gauges are set at scrape time by
-/// `refresh_metrics`.
+/// counters are the one store [`ProvingService::stats`] reads; gauges are
+/// set at scrape time by `refresh_metrics`.
 struct Metrics {
+    registry: obs::MetricsRegistry,
     queue_wait: obs::Histogram,
     proofs_generated: obs::Counter,
     cache_hits: obs::Counter,
@@ -238,7 +231,7 @@ struct Metrics {
 
 impl Metrics {
     fn new() -> Self {
-        let reg = obs::global();
+        let reg = obs::MetricsRegistry::new();
         Self {
             queue_wait: reg.histogram(
                 "poneglyph_queue_wait_nanos",
@@ -296,6 +289,7 @@ impl Metrics {
                 &[],
                 "Effective per-proof thread budget",
             ),
+            registry: reg,
         }
     }
 }
@@ -310,11 +304,6 @@ struct Shared {
     inflight: Mutex<HashSet<CacheKey>>,
     inflight_done: Condvar,
     metrics: Metrics,
-    proofs_generated: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    mutations: AtomicU64,
-    rows_appended: AtomicU64,
 }
 
 /// A handle to one submitted query; resolve it with [`JobHandle::wait`].
@@ -353,13 +342,9 @@ impl ProvingService {
             inflight: Mutex::new(HashSet::new()),
             inflight_done: Condvar::new(),
             metrics: Metrics::new(),
-            proofs_generated: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            mutations: AtomicU64::new(0),
-            rows_appended: AtomicU64::new(0),
         });
-        let (tx, rx) = sync_channel::<Job>(config.queue_depth.max(1));
+        const QUEUE_DEPTH: usize = 64;
+        let (tx, rx) = sync_channel::<Job>(QUEUE_DEPTH);
         let rx = Arc::new(Mutex::new(rx));
         let workers = (0..config.workers.max(1))
             .map(|i| {
@@ -535,10 +520,6 @@ impl ProvingService {
                 entries_invalidated += usize::from(stale);
                 !stale
             });
-        self.shared.mutations.fetch_add(1, Ordering::SeqCst);
-        self.shared
-            .rows_appended
-            .fetch_add(batch.rows.len() as u64, Ordering::SeqCst);
         self.shared.metrics.mutations.inc();
         self.shared
             .metrics
@@ -645,20 +626,6 @@ impl ProvingService {
         Ok(self.enqueue(self.resolve(digest)?, plan))
     }
 
-    /// Enqueue against the database addressed by `digest`, failing fast
-    /// with [`ServiceError::QueueFull`] instead of blocking.
-    pub fn try_submit_on(&self, digest: &[u8; 64], plan: Plan) -> Result<JobHandle, ServiceError> {
-        let (job, handle) = Job::new(self.resolve(digest)?, plan);
-        match &self.tx {
-            Some(tx) => match tx.try_send(job) {
-                Ok(()) => Ok(handle),
-                Err(TrySendError::Full(_)) => Err(ServiceError::QueueFull),
-                Err(TrySendError::Disconnected(_)) => Err(ServiceError::Shutdown),
-            },
-            None => Err(ServiceError::Shutdown),
-        }
-    }
-
     /// Submit and wait against the database addressed by `digest`.
     pub fn query_on(&self, digest: &[u8; 64], plan: Plan) -> Result<Served, ServiceError> {
         self.submit_on(digest, plan)?.wait()
@@ -681,12 +648,13 @@ impl ProvingService {
         let databases = self.collect_database_stats(&registry);
         drop(registry);
         let cache_bytes = self.shared.cache.lock().expect("cache lock").total_bytes() as u64;
+        let m = &self.shared.metrics;
         ServiceStats {
-            proofs_generated: self.shared.proofs_generated.load(Ordering::SeqCst),
-            cache_hits: self.shared.cache_hits.load(Ordering::SeqCst),
-            cache_misses: self.shared.cache_misses.load(Ordering::SeqCst),
-            mutations: self.shared.mutations.load(Ordering::SeqCst),
-            rows_appended: self.shared.rows_appended.load(Ordering::SeqCst),
+            proofs_generated: m.proofs_generated.get(),
+            cache_hits: m.cache_hits.get(),
+            cache_misses: m.cache_misses.get(),
+            mutations: m.mutations.get(),
+            rows_appended: m.rows_appended.get(),
             cache_bytes,
             prover_threads: self.shared.parallelism.threads(),
             databases,
@@ -699,14 +667,15 @@ impl ProvingService {
         self.shared.parallelism
     }
 
-    /// Render the global metrics registry in the Prometheus text
-    /// exposition format, with this service's scrape-time gauges (cache
-    /// occupancy, per-database mutation epochs, thread budget) refreshed
-    /// first. Backs both the `REQ_METRICS` wire frame and the
-    /// `GET /metrics` HTTP endpoint.
+    /// Render the process-wide registry (FFT, MSM, keygen, span and
+    /// request series), then this service's own, in the Prometheus text
+    /// exposition format, with the scrape-time gauges (cache occupancy,
+    /// per-database mutation epochs, thread budget) refreshed first. Backs
+    /// both the `REQ_METRICS` wire frame and the `GET /metrics` HTTP
+    /// endpoint.
     pub fn metrics_text(&self) -> String {
         self.refresh_metrics();
-        obs::global().render()
+        obs::global().render() + &self.shared.metrics.registry.render()
     }
 
     /// Set every gauge whose truth lives in service state rather than in
@@ -724,7 +693,7 @@ impl ProvingService {
         m.prover_threads
             .set(self.shared.parallelism.threads() as i64);
 
-        let reg = obs::global();
+        let reg = &m.registry;
         reg.clear_series("poneglyph_db_epoch");
         let registry = self.shared.registry.read().expect("registry lock");
         for entry in registry.entries() {
@@ -855,7 +824,6 @@ fn serve_one(
         let mut waited = false;
         loop {
             if let Some(hit) = shared.cache.lock().expect("cache lock").get(&key) {
-                shared.cache_hits.fetch_add(1, Ordering::SeqCst);
                 entry.cache_hits.fetch_add(1, Ordering::SeqCst);
                 shared.metrics.cache_hits.inc();
                 obs::mark_cache_hit();
@@ -876,8 +844,6 @@ fn serve_one(
         }
     }
 
-    shared.cache_misses.fetch_add(1, Ordering::SeqCst);
-    shared.proofs_generated.fetch_add(1, Ordering::SeqCst);
     entry.proofs_generated.fetch_add(1, Ordering::SeqCst);
     shared.metrics.cache_misses.inc();
     shared.metrics.proofs_generated.inc();
@@ -1005,6 +971,36 @@ mod tests {
             .verify(&filter_plan(20), &second.response)
             .expect("verify");
         assert_eq!(verified, second.response.result);
+    }
+
+    /// The value of an unlabelled series in a Prometheus text scrape.
+    fn scraped(text: &str, name: &str) -> u64 {
+        text.lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("{name} missing from the scrape"))
+    }
+
+    #[test]
+    fn each_service_scrapes_its_own_counters() {
+        let (a, da) = host(tiny_db(), ServiceConfig::default());
+        let (b, db) = host(other_db(), ServiceConfig::default());
+        a.query_on(&da, filter_plan(20)).expect("a proves");
+        assert!(a.query_on(&da, filter_plan(20)).expect("a hits").cache_hit);
+        b.query_on(&db, filter_plan(20)).expect("b proves");
+
+        for service in [&a, &b] {
+            let text = service.metrics_text();
+            let stats = service.stats();
+            for (name, value) in [
+                ("poneglyph_proofs_generated_total", stats.proofs_generated),
+                ("poneglyph_proof_cache_hits_total", stats.cache_hits),
+                ("poneglyph_proof_cache_misses_total", stats.cache_misses),
+            ] {
+                assert_eq!(scraped(&text, name), value, "{name}");
+            }
+        }
+        assert_eq!(a.stats().proofs_generated, 1);
+        assert_eq!(b.stats().cache_hits, 0);
     }
 
     #[test]
