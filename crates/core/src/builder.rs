@@ -4,9 +4,9 @@
 //! The builder is *structure-first*: every column, gate, lookup, shuffle and
 //! copy constraint depends only on the query plan, the public base-table
 //! sizes and the query constants — never on private data. Witness values
-//! are recorded alongside when available (`prover` mode) and skipped in
-//! `verifier` mode, which lets the verifier re-derive the verifying key
-//! independently.
+//! are recorded for whatever each gadget is given; the verifier runs the
+//! same gadgets over empty columns, so it records none and re-derives the
+//! verifying key independently.
 
 use crate::encode::{bound_fq, VALUE_BOUND, VALUE_BYTES};
 use poneglyph_arith::{Fq, PrimeField};
@@ -14,13 +14,11 @@ use poneglyph_plonkish::{
     Assignment, Cell, Column, ConstraintSystem, Expression, Rotation, BLINDING_ROWS,
 };
 
-/// Records structure plus (optionally) witness values, then materializes a
+/// Records structure plus witness values, then materializes a
 /// [`ConstraintSystem`] + [`Assignment`] pair.
 pub struct Builder {
     /// The constraint system under construction.
     pub cs: ConstraintSystem<Fq>,
-    /// Whether witness (advice) values are being recorded.
-    pub with_witness: bool,
     /// Decompose range checks into *bits* with boolean gates instead of
     /// bytes with lookup tables. This is the ZKSQL-style boolean-circuit
     /// encoding the paper contrasts against (§5.3/§5.4): 8× the columns
@@ -45,7 +43,7 @@ pub struct Builder {
 pub struct BitCol {
     /// The advice column holding the bit.
     pub col: Column,
-    /// Witness bits (empty in verifier mode).
+    /// Witness bits (empty in structure mode).
     pub vals: Vec<bool>,
 }
 
@@ -63,13 +61,12 @@ pub fn rotated(c: Column, rotation: Rotation) -> Expression<Fq> {
 }
 
 impl Builder {
-    /// Start a builder; `with_witness = false` builds structure only.
-    pub fn new(with_witness: bool) -> Self {
+    /// Start a builder holding only the shared u8 table.
+    pub fn new() -> Self {
         let mut cs = ConstraintSystem::new();
         let byte_table = cs.fixed_column();
         let mut b = Self {
             cs,
-            with_witness,
             bitwise_ranges: false,
             scan_advice: Vec::new(),
             fixed_writes: Vec::new(),
@@ -149,13 +146,11 @@ impl Builder {
         col
     }
 
-    /// An advice column; values (when given) fill rows `[0, len)`.
+    /// An advice column; `values` fill rows `[0, len)`.
     pub fn advice(&mut self, values: &[Fq]) -> Column {
         let col = self.cs.advice_column();
-        if self.with_witness {
-            self.advice_writes
-                .extend(values.iter().enumerate().map(|(r, v)| (col, r, *v)));
-        }
+        self.advice_writes
+            .extend(values.iter().enumerate().map(|(r, v)| (col, r, *v)));
         self.need_rows(values.len());
         col
     }
@@ -164,6 +159,11 @@ impl Builder {
     pub fn advice_u64(&mut self, values: &[u64]) -> Column {
         let vals: Vec<Fq> = values.iter().map(|v| Fq::from_u64(*v)).collect();
         self.advice(&vals)
+    }
+
+    /// An advice column of 0/1 values.
+    pub fn advice_bits(&mut self, values: &[bool]) -> Column {
+        self.advice(&bits(values))
     }
 
     /// An instance (public) column.
@@ -202,15 +202,8 @@ impl Builder {
         }
         let mut byte_cols = Vec::with_capacity(nbytes);
         for i in 0..nbytes {
-            let vals: Vec<Fq> = if self.with_witness {
-                values
-                    .iter()
-                    .map(|v| Fq::from_u64((v >> (8 * i)) & 0xff))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            byte_cols.push(self.advice(&vals));
+            let vals: Vec<u64> = values.iter().map(|v| (v >> (8 * i)) & 0xff).collect();
+            byte_cols.push(self.advice_u64(&vals));
         }
         // q · (col − Σ bᵢ·2^{8i}) = 0
         let mut recomposed = Expression::Constant(Fq::ZERO);
@@ -244,12 +237,8 @@ impl Builder {
         let mut recomposed = Expression::Constant(Fq::ZERO);
         let mut weight = Fq::ONE;
         for i in 0..nbits {
-            let vals: Vec<Fq> = if self.with_witness {
-                values.iter().map(|v| Fq::from_u64((v >> i) & 1)).collect()
-            } else {
-                Vec::new()
-            };
-            let bit = self.advice(&vals);
+            let vals: Vec<u64> = values.iter().map(|v| (v >> i) & 1).collect();
+            let bit = self.advice_u64(&vals);
             let be = Expression::advice(bit.index);
             self.cs.create_gate(
                 "bit-bool",
@@ -277,28 +266,18 @@ impl Builder {
         t_vals: &[u64],
         offset: u64,
     ) -> BitCol {
-        let (c_vals, d_vals): (Vec<bool>, Vec<u64>) = if self.with_witness {
-            x_vals
-                .iter()
-                .zip(t_vals)
-                .map(|(xv, tv)| {
-                    let thresh = tv + offset;
-                    let lt = (*xv as u128) < thresh as u128;
-                    let d =
-                        (*xv as i128) - (thresh as i128) + if lt { VALUE_BOUND as i128 } else { 0 };
-                    debug_assert!((0..VALUE_BOUND as i128).contains(&d));
-                    (lt, d as u64)
-                })
-                .unzip()
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let c_col = self.advice(
-            &c_vals
-                .iter()
-                .map(|b| if *b { Fq::ONE } else { Fq::ZERO })
-                .collect::<Vec<_>>(),
-        );
+        let (c_vals, d_vals): (Vec<bool>, Vec<u64>) = x_vals
+            .iter()
+            .zip(t_vals)
+            .map(|(xv, tv)| {
+                let thresh = tv + offset;
+                let lt = (*xv as u128) < thresh as u128;
+                let d = (*xv as i128) - (thresh as i128) + if lt { VALUE_BOUND as i128 } else { 0 };
+                debug_assert!((0..VALUE_BOUND as i128).contains(&d));
+                (lt, d as u64)
+            })
+            .unzip();
+        let c_col = self.advice_bits(&c_vals);
         let d_col = self.advice_u64(&d_vals);
         let qe = Expression::fixed(q.index);
         let ce = Expression::advice(c_col.index);
@@ -334,28 +313,19 @@ impl Builder {
         t: Column,
         t_vals: &[u64],
     ) -> BitCol {
-        let (b_vals, p_vals): (Vec<bool>, Vec<Fq>) = if self.with_witness {
-            a_vals
-                .iter()
-                .zip(t_vals)
-                .map(|(av, tv)| {
-                    if av == tv {
-                        (true, Fq::ZERO)
-                    } else {
-                        let diff = Fq::from_u64(*av) - Fq::from_u64(*tv);
-                        (false, diff.invert().expect("nonzero"))
-                    }
-                })
-                .unzip()
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let b_col = self.advice(
-            &b_vals
-                .iter()
-                .map(|b| if *b { Fq::ONE } else { Fq::ZERO })
-                .collect::<Vec<_>>(),
-        );
+        let (b_vals, p_vals): (Vec<bool>, Vec<Fq>) = a_vals
+            .iter()
+            .zip(t_vals)
+            .map(|(av, tv)| {
+                if av == tv {
+                    (true, Fq::ZERO)
+                } else {
+                    let diff = Fq::from_u64(*av) - Fq::from_u64(*tv);
+                    (false, diff.invert().expect("nonzero"))
+                }
+            })
+            .unzip();
+        let b_col = self.advice_bits(&b_vals);
         let p_col = self.advice(&p_vals);
         let qe = Expression::fixed(q.index);
         let diff = col_expr(a) - col_expr(t);
@@ -380,28 +350,19 @@ impl Builder {
     /// the group-by boundary detection (paper Eqs. 6/7 across adjacent
     /// rows).
     pub fn eq_prev_gadget(&mut self, q_rest: Column, x: Column, vals: &[Fq]) -> BitCol {
-        let (b_vals, p_vals): (Vec<bool>, Vec<Fq>) = if self.with_witness {
-            (0..vals.len())
-                .map(|r| {
-                    if r == 0 {
-                        (false, Fq::ZERO)
-                    } else if vals[r] == vals[r - 1] {
-                        (true, Fq::ZERO)
-                    } else {
-                        let diff = vals[r] - vals[r - 1];
-                        (false, diff.invert().expect("nonzero"))
-                    }
-                })
-                .unzip()
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let b_col = self.advice(
-            &b_vals
-                .iter()
-                .map(|b| if *b { Fq::ONE } else { Fq::ZERO })
-                .collect::<Vec<_>>(),
-        );
+        let (b_vals, p_vals): (Vec<bool>, Vec<Fq>) = (0..vals.len())
+            .map(|r| {
+                if r == 0 {
+                    (false, Fq::ZERO)
+                } else if vals[r] == vals[r - 1] {
+                    (true, Fq::ZERO)
+                } else {
+                    let diff = vals[r] - vals[r - 1];
+                    (false, diff.invert().expect("nonzero"))
+                }
+            })
+            .unzip();
+        let b_col = self.advice_bits(&b_vals);
         let p_col = self.advice(&p_vals);
         let qe = Expression::fixed(q_rest.index);
         let diff = col_expr(x) - rotated(x, Rotation::PREV);
@@ -457,6 +418,11 @@ impl Builder {
     }
 }
 
+/// Bits as 0/1 field elements.
+pub fn bits(values: &[bool]) -> Vec<Fq> {
+    values.iter().map(|b| Fq::from_u64(*b as u64)).collect()
+}
+
 /// Tiny helper: `2^e` as an expression-friendly field constant.
 trait PowExpr {
     fn pow_expr(self, e: u64) -> Fq;
@@ -474,7 +440,7 @@ mod tests {
 
     #[test]
     fn range_check_accepts_in_range() {
-        let mut b = Builder::new(true);
+        let mut b = Builder::new();
         let vals: Vec<u64> = vec![0, 255, 256, (1 << 56) - 1, 12345];
         let q = b.selector(vals.len());
         let col = b.advice_u64(&vals);
@@ -485,7 +451,7 @@ mod tests {
 
     #[test]
     fn range_check_rejects_out_of_range() {
-        let mut b = Builder::new(true);
+        let mut b = Builder::new();
         let vals: Vec<u64> = vec![5, 1 << 56];
         let q = b.selector(vals.len());
         let col = b.advice_u64(&vals);
@@ -500,7 +466,7 @@ mod tests {
     fn lt_gadget_is_correct_on_samples() {
         let xs: Vec<u64> = vec![0, 1, 5, 10, 10, 11, (1 << 56) - 2, 7];
         let ts: Vec<u64> = vec![1, 1, 9, 10, 11, 10, 0, (1 << 56) - 2];
-        let mut b = Builder::new(true);
+        let mut b = Builder::new();
         let q = b.selector(xs.len());
         let x = b.advice_u64(&xs);
         let t = b.advice_u64(&ts);
@@ -515,7 +481,7 @@ mod tests {
     fn lt_gadget_wrong_bit_fails() {
         let xs = vec![3u64];
         let ts = vec![10u64];
-        let mut b = Builder::new(true);
+        let mut b = Builder::new();
         let q = b.selector(1);
         let x = b.advice_u64(&xs);
         let t = b.advice_u64(&ts);
@@ -533,7 +499,7 @@ mod tests {
         // x <= t  ⟺  x < t+1
         let xs: Vec<u64> = vec![4, 5, 6];
         let ts: Vec<u64> = vec![5, 5, 5];
-        let mut b = Builder::new(true);
+        let mut b = Builder::new();
         let q = b.selector(xs.len());
         let x = b.advice_u64(&xs);
         let t = b.advice_u64(&ts);
@@ -547,7 +513,7 @@ mod tests {
     fn eq_gadget_detects_equality() {
         let a: Vec<u64> = vec![7, 8, 0, 123];
         let t: Vec<u64> = vec![7, 9, 0, 122];
-        let mut b = Builder::new(true);
+        let mut b = Builder::new();
         let q = b.selector(a.len());
         let ac = b.advice_u64(&a);
         let tc = b.advice_u64(&t);
@@ -561,7 +527,7 @@ mod tests {
     fn eq_gadget_forged_bit_fails() {
         let a: Vec<u64> = vec![7];
         let t: Vec<u64> = vec![9];
-        let mut b = Builder::new(true);
+        let mut b = Builder::new();
         let q = b.selector(1);
         let ac = b.advice_u64(&a);
         let tc = b.advice_u64(&t);
@@ -573,7 +539,7 @@ mod tests {
 
     #[test]
     fn product_gate() {
-        let mut b = Builder::new(true);
+        let mut b = Builder::new();
         let q = b.selector(2);
         let a = b.advice_u64(&[3, 0]);
         let c = b.advice_u64(&[5, 9]);

@@ -8,10 +8,10 @@
 //! table sizes, so the circuit structure is data-independent and the
 //! verifier can re-derive the verifying key.
 
-use crate::builder::Builder;
+use crate::builder::{bits, BitCol, Builder};
 use crate::encode::{encode, MAX_VALUE, VALUE_BOUND, VALUE_BYTES};
 use poneglyph_arith::{Fq, PrimeField};
-use poneglyph_plonkish::{Assignment, Cell, Column, ConstraintSystem, Expression, Rotation};
+use poneglyph_plonkish::{Assignment, Cell, Column, ConstraintSystem, Expression, Gate, Rotation};
 use poneglyph_sql::{AggFunc, CmpOp, Database, Executed, Plan, Predicate, ScalarExpr};
 use std::collections::HashMap;
 
@@ -92,19 +92,13 @@ struct Region {
     cap: usize,
     /// Witness: values per column over `[0, cap)` (empty in structure mode).
     vals: Vec<Vec<u64>>,
-    /// Witness: real bits over `[0, cap)`.
+    /// Witness: real bits over `[0, cap)` (empty in structure mode).
     reals: Vec<bool>,
 }
 
 impl Region {
     fn width(&self) -> usize {
         self.cols.len()
-    }
-    fn real_fq(&self) -> Vec<Fq> {
-        self.reals
-            .iter()
-            .map(|b| if *b { Fq::ONE } else { Fq::ZERO })
-            .collect()
     }
 }
 
@@ -113,13 +107,17 @@ impl Region {
 /// With `trace = None` the circuit contains structure and fixed data only
 /// (what the verifier needs for key generation); base table sizes come from
 /// `db` whose tables may then be value-empty but must have correct lengths.
+/// That structure compile is the same lowering as the witness compile, run
+/// over empty columns: scans yield no values, so every gadget records no
+/// witness, while columns, gates, lookups, fixed data and copies — which
+/// depend on capacities alone — come out identical.
 pub fn compile(
     db: &Database,
     plan: &Plan,
     trace: Option<&Executed>,
     gates: GateSet,
 ) -> Result<CompiledQuery, String> {
-    let mut b = Builder::new(trace.is_some());
+    let mut b = Builder::new();
     b.bitwise_ranges = gates.bitwise_ranges;
     let mut c = Compiler {
         b: &mut b,
@@ -130,7 +128,7 @@ pub fn compile(
     // Final masking + public output.
     let masked = c.mask_output(&out);
     let mut instance = Vec::with_capacity(masked.width() + 1);
-    let real_vals = masked.real_fq();
+    let real_vals = bits(&masked.reals);
     let inst_real = c.b.instance(&real_vals);
     c.b.copy_region_to_instance(&masked, masked.real, inst_real);
     instance.push(pad_instance(real_vals, masked.cap));
@@ -223,7 +221,7 @@ impl<'a> Compiler<'a> {
             }
             Plan::Sort { input, keys } => {
                 let child = self.node(input, trace.map(|t| &t.children[0]))?;
-                self.sort(&child, keys)
+                self.sort(&child, keys, self.gates.sorts)
             }
             Plan::Limit { input, n } => {
                 let child = self.node(input, trace.map(|t| &t.children[0]))?;
@@ -242,26 +240,26 @@ impl<'a> Compiler<'a> {
             .ok_or_else(|| format!("unknown table {table}"))?;
         let cap = t.len().max(1);
         let q = self.b.selector(cap);
-        let witness = trace.is_some();
+        // The one place structure and witness compiles differ: without a
+        // trace the scan yields empty columns, and every later witness
+        // computation maps empty inputs to empty outputs.
+        let rows = if trace.is_some() { cap } else { 0 };
         let mut vals = Vec::with_capacity(t.schema.width());
         let mut cols = Vec::with_capacity(t.schema.width());
         for c in &t.cols {
-            let v: Vec<u64> = if witness {
-                let mut v: Vec<u64> = c.iter().map(|x| encode(*x)).collect();
-                v.resize(cap, 0);
-                v
-            } else {
-                vec![0; cap]
-            };
+            let v: Vec<u64> = c
+                .iter()
+                .map(|x| encode(*x))
+                .chain(std::iter::repeat(0))
+                .take(rows)
+                .collect();
             let col = self.b.advice_u64(&v);
             self.b.scan_advice.push(col.index);
             cols.push(col);
             vals.push(v);
         }
-        let reals: Vec<bool> = (0..cap).map(|r| r < t.len()).collect();
-        let real = self
-            .b
-            .advice_u64(&reals.iter().map(|b| *b as u64).collect::<Vec<_>>());
+        let reals: Vec<bool> = (0..rows).map(|r| r < t.len()).collect();
+        let real = self.b.advice_bits(&reals);
         // A nonempty table fills its whole region (`cap == t.len()`), so a
         // single clause pins `real = 1` on every data row; an empty table
         // occupies one all-dummy row whose real bit must be 0. Emitting only
@@ -290,7 +288,6 @@ impl<'a> Compiler<'a> {
     fn filter(&mut self, input: &Region, predicates: &[Predicate]) -> Result<Region, String> {
         let cap = input.cap;
         let q = input.q;
-        let witness = self.b.with_witness;
         let mut acc_expr = Expression::advice(input.real.index);
         let mut acc_vals: Vec<bool> = input.reals.clone();
         for p in predicates {
@@ -301,7 +298,7 @@ impl<'a> Compiler<'a> {
                     let xv = &input.vals[*col];
                     let v = encode(*value);
                     let t = self.b.fixed_const(cap, Fq::from_u64(v));
-                    let tv = vec![v; if witness { cap } else { 0 }];
+                    let tv = vec![v; xv.len()];
                     self.cmp_bit(q, cap, x, xv, t, &tv, *op)
                 }
                 Predicate::ColCol { left, op, right } => {
@@ -312,23 +309,16 @@ impl<'a> Compiler<'a> {
                     self.cmp_bit(q, cap, x, &xv, t, &tv, *op)
                 }
             };
-            let next_vals: Vec<bool> = if witness {
-                acc_vals
-                    .iter()
-                    .zip(&bit_vals)
-                    .map(|(a, b)| *a && *b)
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let fq_vals: Vec<Fq> = next_vals
+            let next_vals: Vec<bool> = acc_vals
                 .iter()
-                .map(|b| if *b { Fq::ONE } else { Fq::ZERO })
+                .zip(&bit_vals)
+                .map(|(a, b)| *a && *b)
                 .collect();
             let out = if self.gates.filters {
-                self.b.product(q, acc_expr.clone(), bit_expr, &fq_vals)
+                self.b
+                    .product(q, acc_expr.clone(), bit_expr, &bits(&next_vals))
             } else {
-                self.b.advice(&fq_vals)
+                self.b.advice_bits(&next_vals)
             };
             acc_expr = Expression::advice(out.index);
             acc_vals = next_vals;
@@ -363,21 +353,13 @@ impl<'a> Compiler<'a> {
         if !self.gates.filters {
             // Witness-only path: allocate a free bit column (no constraints)
             // so that column counts match the gated circuit.
-            let bits: Vec<bool> = if self.b.with_witness {
-                xv.iter()
-                    .zip(tv)
-                    .map(|(a, b)| op.apply(*a as i64, *b as i64))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let col = self.b.advice(
-                &bits
-                    .iter()
-                    .map(|v| if *v { Fq::ONE } else { Fq::ZERO })
-                    .collect::<Vec<_>>(),
-            );
-            return (Expression::advice(col.index), bits);
+            let vals: Vec<bool> = xv
+                .iter()
+                .zip(tv)
+                .map(|(a, b)| op.apply(*a as i64, *b as i64))
+                .collect();
+            let col = self.b.advice_bits(&vals);
+            return (Expression::advice(col.index), vals);
         }
         match op {
             CmpOp::Lt => {
@@ -461,7 +443,6 @@ impl<'a> Compiler<'a> {
         input: &Region,
         e: &ScalarExpr,
     ) -> Result<(Expression<Fq>, Vec<u64>), String> {
-        let witness = self.b.with_witness;
         let cap = input.cap;
         match e {
             ScalarExpr::Col(i) => Ok((
@@ -472,7 +453,7 @@ impl<'a> Compiler<'a> {
                 let enc = encode(*v);
                 Ok((
                     Expression::Constant(Fq::from_u64(enc)),
-                    if witness { vec![enc; cap] } else { Vec::new() },
+                    vec![enc; input.reals.len()],
                 ))
             }
             ScalarExpr::Add(a, bx) => {
@@ -484,14 +465,14 @@ impl<'a> Compiler<'a> {
             ScalarExpr::Sub(a, bx) => {
                 let (ea, va) = self.scalar_expr(input, a)?;
                 let (eb, vb) = self.scalar_expr(input, bx)?;
-                let v: Vec<u64> = va
+                let v = va
                     .iter()
                     .zip(&vb)
                     .map(|(x, y)| {
                         x.checked_sub(*y)
-                            .expect("negative intermediate in circuit expression")
+                            .ok_or("negative intermediate in circuit expression")
                     })
-                    .collect();
+                    .collect::<Result<_, _>>()?;
                 Ok((ea - eb, v))
             }
             ScalarExpr::Mul(a, bx) => {
@@ -502,18 +483,14 @@ impl<'a> Compiler<'a> {
                     .zip(&vb)
                     .map(|(x, y)| {
                         let p = (*x as u128) * (*y as u128);
-                        assert!(p < 1 << 63, "product overflow");
-                        p as u64
+                        if p < 1 << 63 {
+                            Ok(p as u64)
+                        } else {
+                            Err("product overflow in circuit expression")
+                        }
                     })
-                    .collect();
-                let fqv: Vec<Fq> = if witness {
-                    va.iter()
-                        .zip(&vb)
-                        .map(|(x, y)| Fq::from_u64(*x) * Fq::from_u64(*y))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
+                    .collect::<Result<_, _>>()?;
+                let fqv: Vec<Fq> = v.iter().map(|p| Fq::from_u64(*p)).collect();
                 let out = self.b.product(input.q, ea, eb, &fqv);
                 Ok((Expression::advice(out.index), v))
             }
@@ -521,21 +498,18 @@ impl<'a> Compiler<'a> {
                 let (ea, va) = self.scalar_expr(input, a)?;
                 let (eb, vb) = self.scalar_expr(input, bx)?;
                 // Gated by `real`: dummy rows may hold zero divisors.
-                let (qv, rv): (Vec<u64>, Vec<u64>) = if witness {
-                    va.iter()
-                        .zip(&vb)
-                        .zip(&input.reals)
-                        .map(|((n, d), real)| {
-                            if *real && *d > 0 {
-                                (n / d, n % d)
-                            } else {
-                                (0, 0)
-                            }
-                        })
-                        .unzip()
-                } else {
-                    (Vec::new(), Vec::new())
-                };
+                let (qv, rv): (Vec<u64>, Vec<u64>) = va
+                    .iter()
+                    .zip(&vb)
+                    .zip(&input.reals)
+                    .map(|((n, d), real)| {
+                        if *real && *d > 0 {
+                            (n / d, n % d)
+                        } else {
+                            (0, 0)
+                        }
+                    })
+                    .unzip();
                 let quot = self.b.advice_u64(&qv);
                 let rem = self.b.advice_u64(&rv);
                 let qe = Expression::fixed(input.q.index);
@@ -552,15 +526,12 @@ impl<'a> Compiler<'a> {
                 self.b.range_check(input.q, quot, VALUE_BYTES, &qv, cap);
                 self.b.range_check(input.q, rem, VALUE_BYTES, &rv, cap);
                 // real · (den − rem − 1) ∈ [0, 2^56)  ⇒  rem < den on real rows
-                let slack_v: Vec<u64> = if witness {
-                    vb.iter()
-                        .zip(&rv)
-                        .zip(&input.reals)
-                        .map(|((d, r), real)| if *real { d - r - 1 } else { 0 })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
+                let slack_v: Vec<u64> = vb
+                    .iter()
+                    .zip(&rv)
+                    .zip(&input.reals)
+                    .map(|((d, r), real)| if *real { d - r - 1 } else { 0 })
+                    .collect();
                 let slack_fq: Vec<Fq> = slack_v.iter().map(|v| Fq::from_u64(*v)).collect();
                 let slack = self.b.product(
                     input.q,
@@ -582,22 +553,17 @@ impl<'a> Compiler<'a> {
                 let xv = input.vals[*col].clone();
                 let v = encode(*value);
                 let t = self.b.fixed_const(cap, Fq::from_u64(v));
-                let tv = vec![v; if witness { cap } else { 0 }];
+                let tv = vec![v; xv.len()];
                 let bit = self.b.eq_gadget(input.q, x, &xv, t, &tv);
                 let (et, vt) = self.scalar_expr(input, then)?;
                 let (eo, vo) = self.scalar_expr(input, otherwise)?;
-                let outv: Vec<u64> = if witness {
-                    bit.vals
-                        .iter()
-                        .zip(vt.iter().zip(&vo))
-                        .map(|(b, (a, c))| if *b { *a } else { *c })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let out = self
-                    .b
-                    .advice(&outv.iter().map(|v| Fq::from_u64(*v)).collect::<Vec<_>>());
+                let outv: Vec<u64> = bit
+                    .vals
+                    .iter()
+                    .zip(vt.iter().zip(&vo))
+                    .map(|(b, (a, c))| if *b { *a } else { *c })
+                    .collect();
+                let out = self.b.advice_u64(&outv);
                 // out = b·then + (1−b)·else
                 let be = Expression::advice(bit.col.index);
                 self.b.cs.create_gate(
@@ -627,21 +593,17 @@ impl<'a> Compiler<'a> {
                 let day_col = self.b.fixed_values(&days);
                 let year_col = self.b.fixed_values(&years);
                 let year_table_q = self.b.selector((hi - lo + 1) as usize);
-                let yearv: Vec<u64> = if witness {
-                    datev
-                        .iter()
-                        .zip(&input.reals)
-                        .map(|(d, real)| {
-                            if *real {
-                                poneglyph_sql::year_of_epoch_days(*d as i64) as u64
-                            } else {
-                                0
-                            }
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
+                let yearv: Vec<u64> = datev
+                    .iter()
+                    .zip(&input.reals)
+                    .map(|(d, real)| {
+                        if *real {
+                            poneglyph_sql::year_of_epoch_days(*d as i64) as u64
+                        } else {
+                            0
+                        }
+                    })
+                    .collect();
                 let out = self.b.advice_u64(&yearv);
                 let g = Expression::fixed(input.q.index) * Expression::advice(input.real.index);
                 self.b.cs.add_lookup(
@@ -663,47 +625,46 @@ impl<'a> Compiler<'a> {
     // --------------------------------------------------------------
     // Sort (paper §4.2: shuffle + adjacent range checks)
     // --------------------------------------------------------------
-    fn sort(&mut self, input: &Region, keys: &[(usize, bool)]) -> Result<Region, String> {
+    /// Sort `input` by `keys`; `gated` emits the shuffle and sortedness
+    /// constraints (`GateSet::sorts` for ORDER BY, `GateSet::group_by` when
+    /// grouping).
+    fn sort(
+        &mut self,
+        input: &Region,
+        keys: &[(usize, bool)],
+        gated: bool,
+    ) -> Result<Region, String> {
         let cap = input.cap;
-        let witness = self.b.with_witness;
         let q = input.q;
 
         // Witness: real rows sorted by keys, dummies (with their residual
         // values) appended.
-        let (out_vals, out_reals) = if witness {
-            let mut real_rows: Vec<usize> = (0..cap).filter(|r| input.reals[*r]).collect();
-            real_rows.sort_by(|&a, &b| {
-                for (col, desc) in keys {
-                    let (va, vb) = (input.vals[*col][a], input.vals[*col][b]);
-                    let ord = va.cmp(&vb);
-                    let ord = if *desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
+        let (mut real_rows, dummy_rows): (Vec<usize>, Vec<usize>) =
+            (0..input.reals.len()).partition(|r| input.reals[*r]);
+        real_rows.sort_by(|&a, &b| {
+            for (col, desc) in keys {
+                let (va, vb) = (input.vals[*col][a], input.vals[*col][b]);
+                let ord = va.cmp(&vb);
+                let ord = if *desc { ord.reverse() } else { ord };
+                if ord != std::cmp::Ordering::Equal {
+                    return ord;
                 }
-                a.cmp(&b)
-            });
-            let dummy_rows: Vec<usize> = (0..cap).filter(|r| !input.reals[*r]).collect();
-            let order: Vec<usize> = real_rows.into_iter().chain(dummy_rows).collect();
-            let vals: Vec<Vec<u64>> = (0..input.width())
-                .map(|c| order.iter().map(|r| input.vals[c][*r]).collect())
-                .collect();
-            let reals: Vec<bool> = order.iter().map(|r| input.reals[*r]).collect();
-            (vals, reals)
-        } else {
-            (vec![Vec::new(); input.width()], Vec::new())
-        };
+            }
+            a.cmp(&b)
+        });
+        let order: Vec<usize> = real_rows.into_iter().chain(dummy_rows).collect();
+        let out_vals: Vec<Vec<u64>> = input
+            .vals
+            .iter()
+            .map(|v| order.iter().map(|r| v[*r]).collect())
+            .collect();
+        let out_reals: Vec<bool> = order.iter().map(|r| input.reals[*r]).collect();
 
         let mut out_cols = Vec::with_capacity(input.width());
         for v in &out_vals {
             out_cols.push(self.b.advice_u64(v));
         }
-        let out_real = self.b.advice(
-            &out_reals
-                .iter()
-                .map(|b| if *b { Fq::ONE } else { Fq::ZERO })
-                .collect::<Vec<_>>(),
-        );
+        let out_real = self.b.advice_bits(&out_reals);
 
         let region = Region {
             cols: out_cols.clone(),
@@ -714,7 +675,7 @@ impl<'a> Compiler<'a> {
             reals: out_reals,
         };
 
-        if self.gates.sorts {
+        if gated {
             // Shuffle: full tuples including the real bit (Eq. 5).
             let qe = Expression::fixed(q.index);
             let mut lhs = vec![qe.clone() * Expression::advice(input.real.index)];
@@ -740,7 +701,6 @@ impl<'a> Compiler<'a> {
         strict: bool,
     ) -> Result<(), String> {
         let cap = region.cap;
-        let witness = self.b.with_witness;
         let q = region.q;
         let qe = Expression::fixed(q.index);
         // Real bits descending: (real − real_next) boolean on rows [0, cap−1).
@@ -758,10 +718,11 @@ impl<'a> Compiler<'a> {
         // The composite lives in the field and its byte decomposition spans
         // nk·7 bytes, so at most 4 attributes (224 bits < |F|) per sort.
         let nk = keys.len();
-        assert!(
-            nk <= 4,
-            "composite sort keys support at most 4 attributes; got {nk}"
-        );
+        if nk > 4 {
+            return Err(format!(
+                "composite sort keys support at most 4 attributes; got {nk}"
+            ));
+        }
         let bound = Fq::from_u64(VALUE_BOUND);
         let mut kexpr = Expression::Constant(Fq::ZERO);
         let mut weight = Fq::ONE;
@@ -777,21 +738,17 @@ impl<'a> Compiler<'a> {
             weight *= bound;
         }
         // 4-limb composite witness values (up to 224 bits).
-        let kvals: Vec<WideVal> = if witness {
-            (0..cap)
-                .map(|r| {
-                    let mut acc = WideVal::ZERO;
-                    for (col, desc) in keys {
-                        let v = region.vals[*col][r];
-                        let adj = if *desc { MAX_VALUE - v } else { v };
-                        acc = acc.shl56().add_small(adj);
-                    }
-                    acc
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let kvals: Vec<WideVal> = (0..region.reals.len())
+            .map(|r| {
+                let mut acc = WideVal::ZERO;
+                for (col, desc) in keys {
+                    let v = region.vals[*col][r];
+                    let adj = if *desc { MAX_VALUE - v } else { v };
+                    acc = acc.shl56().add_small(adj);
+                }
+                acc
+            })
+            .collect();
         let kfq: Vec<Fq> = kvals.iter().map(|v| Fq::from_raw(v.0)).collect();
         let kcol = self.b.advice(&kfq);
         self.b.cs.create_gate(
@@ -800,23 +757,19 @@ impl<'a> Compiler<'a> {
         );
         // D = real_next · (K_next − K − strict) must be in [0, B^nk).
         let strict_off = if strict { Fq::ONE } else { Fq::ZERO };
-        let dv: Vec<WideVal> = if witness {
-            (0..cap)
-                .map(|r| {
-                    if r + 1 < cap && region.reals[r + 1] {
-                        let mut hi = kvals[r + 1];
-                        if strict {
-                            hi = hi.sub(&WideVal::from_u64(1));
-                        }
-                        hi.sub(&kvals[r])
-                    } else {
-                        WideVal::ZERO
+        let dv: Vec<WideVal> = (0..kvals.len())
+            .map(|r| {
+                if region.reals.get(r + 1) == Some(&true) {
+                    let mut hi = kvals[r + 1];
+                    if strict {
+                        hi = hi.sub(&WideVal::from_u64(1));
                     }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+                    hi.sub(&kvals[r])
+                } else {
+                    WideVal::ZERO
+                }
+            })
+            .collect();
         let dfq: Vec<Fq> = dv.iter().map(|v| Fq::from_raw(v.0)).collect();
         let dcol = self.b.advice(&dfq);
         self.b.cs.create_gate(
@@ -845,18 +798,10 @@ impl<'a> Compiler<'a> {
         values: &[WideVal],
         cap: usize,
     ) {
-        let witness = self.b.with_witness;
         let mut byte_cols = Vec::with_capacity(nbytes);
         for i in 0..nbytes {
-            let vals: Vec<Fq> = if witness {
-                values
-                    .iter()
-                    .map(|v| Fq::from_u64(v.byte(i) as u64))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            byte_cols.push(self.b.advice(&vals));
+            let vals: Vec<u64> = values.iter().map(|v| v.byte(i) as u64).collect();
+            byte_cols.push(self.b.advice_u64(&vals));
         }
         let mut recomposed = Expression::Constant(Fq::ZERO);
         let mut w = Fq::ONE;
@@ -940,14 +885,11 @@ impl<'a> Compiler<'a> {
         //    the rest (the compiler's callers guarantee this — Q18 puts the
         //    unique o_orderkey first).
         let sort_keys: Vec<(usize, bool)> = (0..nk.min(4)).map(|i| (i, false)).collect();
-        let saved = self.gates;
-        self.gates.sorts = saved.group_by;
-        let sorted = self.sort(&mat, &sort_keys)?;
-        self.gates = saved;
+        let sorted = self.sort(&mat, &sort_keys, self.gates.group_by)?;
 
         let cap = sorted.cap;
+        let n = sorted.reals.len();
         let q = sorted.q;
-        let witness = self.b.with_witness;
         let qe = Expression::fixed(q.index);
         let q_rest = self.b.selector_range(1, cap); // rows [1, cap)
         let q0 = self.b.selector_single(0);
@@ -956,50 +898,33 @@ impl<'a> Compiler<'a> {
         //    group keys as row r−1], via per-attribute eq-prev gates
         //    (Eqs. 6/7) chained with product gates. Dummy rows share a real
         //    bit of 0 and thus form their own trailing group.
-        let same_vals: Vec<bool> = if witness {
-            (0..cap)
-                .map(|r| {
-                    r > 0
-                        && sorted.reals[r] == sorted.reals[r - 1]
-                        && (0..nk).all(|kc| sorted.vals[kc][r] == sorted.vals[kc][r - 1])
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let same_vals: Vec<bool> = (0..n)
+            .map(|r| {
+                r > 0
+                    && sorted.reals[r] == sorted.reals[r - 1]
+                    && (0..nk).all(|kc| sorted.vals[kc][r] == sorted.vals[kc][r - 1])
+            })
+            .collect();
         let same = if self.gates.group_by {
-            let real_fq = sorted.real_fq();
-            let mut acc = self.b.eq_prev_gadget(q_rest, sorted.real, &real_fq);
+            let mut acc = self
+                .b
+                .eq_prev_gadget(q_rest, sorted.real, &bits(&sorted.reals));
             for kc in 0..nk {
                 let kv: Vec<Fq> = sorted.vals[kc].iter().map(|v| Fq::from_u64(*v)).collect();
                 let bit = self.b.eq_prev_gadget(q_rest, sorted.cols[kc], &kv);
-                let prod_vals: Vec<Fq> = if witness {
-                    acc.vals
-                        .iter()
-                        .zip(&bit.vals)
-                        .map(|(a, b)| if *a && *b { Fq::ONE } else { Fq::ZERO })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
+                let vals: Vec<bool> = acc
+                    .vals
+                    .iter()
+                    .zip(&bit.vals)
+                    .map(|(a, b)| *a && *b)
+                    .collect();
                 let col = self.b.product(
                     q,
                     Expression::advice(acc.col.index),
                     Expression::advice(bit.col.index),
-                    &prod_vals,
+                    &bits(&vals),
                 );
-                acc = crate::builder::BitCol {
-                    col,
-                    vals: if witness {
-                        acc.vals
-                            .iter()
-                            .zip(&bit.vals)
-                            .map(|(a, b)| *a && *b)
-                            .collect()
-                    } else {
-                        Vec::new()
-                    },
-                };
+                acc = BitCol { col, vals };
             }
             // row 0 is always a boundary
             self.b.cs.create_gate(
@@ -1008,18 +933,12 @@ impl<'a> Compiler<'a> {
             );
             acc.col
         } else {
-            self.b.advice(
-                &same_vals
-                    .iter()
-                    .map(|b| if *b { Fq::ONE } else { Fq::ZERO })
-                    .collect::<Vec<_>>(),
-            )
+            self.b.advice_bits(&same_vals)
         };
 
         // 4. Running aggregates.
         let mut run_cols: Vec<Column> = Vec::with_capacity(na);
-        let mut run_vals: Vec<Vec<Fq>> = Vec::with_capacity(na);
-        let mut run_u64: Vec<Vec<u64>> = Vec::with_capacity(na);
+        let mut run_vals: Vec<Vec<u64>> = Vec::with_capacity(na);
         for (ai, (func, _)) in circuit_aggs.iter().enumerate() {
             let vcol = sorted.cols[nk + ai];
             let vexpr = Expression::advice(vcol.index);
@@ -1032,29 +951,22 @@ impl<'a> Compiler<'a> {
                     } else {
                         re.clone() * vexpr.clone()
                     };
-                    let (mv, mu): (Vec<Fq>, Vec<u64>) = if witness {
-                        let mut out = Vec::with_capacity(cap);
-                        let mut outu = Vec::with_capacity(cap);
-                        let mut acc: u64 = 0;
-                        for (r, &same_r) in same_vals.iter().enumerate() {
-                            let contrib = if sorted.reals[r] {
-                                if matches!(func, AggFunc::Count) {
-                                    1
-                                } else {
-                                    sorted.vals[nk + ai][r]
-                                }
+                    let mut mu = Vec::with_capacity(n);
+                    let mut acc: u64 = 0;
+                    for (r, &same_r) in same_vals.iter().enumerate() {
+                        let contrib = if sorted.reals[r] {
+                            if matches!(func, AggFunc::Count) {
+                                1
                             } else {
-                                0
-                            };
-                            acc = if r > 0 && same_r { acc } else { 0 } + contrib;
-                            out.push(Fq::from_u64(acc));
-                            outu.push(acc);
-                        }
-                        (out, outu)
-                    } else {
-                        (Vec::new(), Vec::new())
-                    };
-                    let mcol = self.b.advice(&mv);
+                                sorted.vals[nk + ai][r]
+                            }
+                        } else {
+                            0
+                        };
+                        acc = if r > 0 && same_r { acc } else { 0 } + contrib;
+                        mu.push(acc);
+                    }
+                    let mcol = self.b.advice_u64(&mu);
                     if self.gates.aggregates {
                         let me = Expression::advice(mcol.index);
                         let mprev = Expression::advice_at(mcol.index, Rotation::PREV);
@@ -1070,48 +982,34 @@ impl<'a> Compiler<'a> {
                         );
                     }
                     run_cols.push(mcol);
-                    run_vals.push(mv);
-                    run_u64.push(mu);
+                    run_vals.push(mu);
                 }
                 AggFunc::Min | AggFunc::Max => {
                     let is_min = matches!(func, AggFunc::Min);
                     // T = M_{r−1}; c = [v < T] (min) / [T < v] (max);
                     // M = same·(c ? v : T) + (1−same)·v
-                    let (mu, tu): (Vec<u64>, Vec<u64>) = if witness {
-                        let mut m = Vec::with_capacity(cap);
-                        let mut t = Vec::with_capacity(cap);
-                        let mut acc: u64 = 0;
-                        for (r, &same_r) in same_vals.iter().enumerate() {
-                            let v = sorted.vals[nk + ai][r];
-                            t.push(acc);
-                            let new = if r > 0 && same_r {
-                                if is_min {
-                                    acc.min(v)
-                                } else {
-                                    acc.max(v)
-                                }
+                    let mut mu = Vec::with_capacity(n);
+                    let mut tu = Vec::with_capacity(n);
+                    let mut acc: u64 = 0;
+                    for (r, &same_r) in same_vals.iter().enumerate() {
+                        let v = sorted.vals[nk + ai][r];
+                        tu.push(acc);
+                        acc = if r > 0 && same_r {
+                            if is_min {
+                                acc.min(v)
                             } else {
-                                v
-                            };
-                            m.push(new);
-                            acc = new;
-                        }
-                        (m, t)
-                    } else {
-                        (Vec::new(), Vec::new())
-                    };
-                    let tcol = self.b.advice_u64(&tu);
-                    if self.gates.aggregates {
-                        self.b.cs.create_gate(
-                            "agg-prev-carry",
-                            vec![
-                                Expression::fixed(q_rest.index)
-                                    * (Expression::advice(tcol.index)
-                                        - Expression::advice_at(run_placeholder(), Rotation::PREV)),
-                            ],
-                        );
+                                acc.max(v)
+                            }
+                        } else {
+                            v
+                        };
+                        mu.push(acc);
                     }
-                    // placeholder fixed below once M column exists
+                    let tcol = self.b.advice_u64(&tu);
+                    // The carry gate T = M_{r−1} needs the M column, which is
+                    // allocated after the comparison gadget; it is inserted
+                    // at this position once M exists.
+                    let carry_slot = self.b.cs.gates.len();
                     let (x, xv, t, tv) = if is_min {
                         (vcol, sorted.vals[nk + ai].clone(), tcol, tu.clone())
                     } else {
@@ -1120,27 +1018,30 @@ impl<'a> Compiler<'a> {
                     let cbit = if self.gates.aggregates {
                         self.b.lt_gadget(q, cap, x, &xv, t, &tv, 0)
                     } else {
-                        crate::builder::BitCol {
+                        BitCol {
                             col: self.b.advice(&[]),
                             vals: Vec::new(),
                         }
                     };
-                    let mcolfq: Vec<Fq> = mu.iter().map(|v| Fq::from_u64(*v)).collect();
-                    let mcol = self.b.advice(&mcolfq);
+                    let mcol = self.b.advice_u64(&mu);
                     if self.gates.aggregates {
-                        // fix the placeholder gate: replace with real M
-                        patch_prev_carry(&mut self.b.cs, tcol, mcol);
+                        self.b.cs.gates.insert(
+                            carry_slot,
+                            Gate {
+                                name: "agg-prev-carry".into(),
+                                polys: vec![
+                                    Expression::fixed(q_rest.index)
+                                        * (Expression::advice(tcol.index)
+                                            - Expression::advice_at(mcol.index, Rotation::PREV)),
+                                ],
+                            },
+                        );
                         let se = Expression::advice(same.index);
                         let ce = Expression::advice(cbit.col.index);
                         let te = Expression::advice(tcol.index);
-                        let picked = if is_min {
-                            ce.clone() * vexpr.clone()
-                                + (Expression::Constant(Fq::ONE) - ce.clone()) * te.clone()
-                        } else {
-                            // max: c = [T < v] picks v
-                            ce.clone() * vexpr.clone()
-                                + (Expression::Constant(Fq::ONE) - ce.clone()) * te.clone()
-                        };
+                        // min: c = [v < T], max: c = [T < v]; either way c picks v
+                        let picked =
+                            ce.clone() * vexpr.clone() + (Expression::Constant(Fq::ONE) - ce) * te;
                         self.b.cs.create_gate(
                             "agg-running-minmax",
                             vec![
@@ -1152,27 +1053,17 @@ impl<'a> Compiler<'a> {
                         );
                     }
                     run_cols.push(mcol);
-                    run_vals.push(mcolfq);
-                    run_u64.push(mu);
+                    run_vals.push(mu);
                 }
                 AggFunc::Avg => unreachable!("avg rewritten"),
             }
         }
 
         // 5. End-of-group bits and output shuffle.
-        let evals: Vec<bool> = if witness {
-            (0..cap)
-                .map(|r| sorted.reals[r] && (r + 1 == cap || !same_vals[r + 1]))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let ecol = self.b.advice(
-            &evals
-                .iter()
-                .map(|b| if *b { Fq::ONE } else { Fq::ZERO })
-                .collect::<Vec<_>>(),
-        );
+        let evals: Vec<bool> = (0..n)
+            .map(|r| sorted.reals[r] && (r + 1 == n || !same_vals[r + 1]))
+            .collect();
+        let ecol = self.b.advice_bits(&evals);
         if self.gates.group_by {
             let q_pair = self.b.selector(cap.saturating_sub(1));
             let q_lastrow = self.b.selector_single(cap - 1);
@@ -1191,39 +1082,29 @@ impl<'a> Compiler<'a> {
         }
 
         // Output region: group keys + aggregate results, compacted.
-        let (out_vals, out_reals): (Vec<Vec<u64>>, Vec<bool>) = if witness {
-            let mut cols: Vec<Vec<u64>> = vec![Vec::new(); nk + na];
-            let (key_cols, agg_cols) = cols.split_at_mut(nk);
-            for (r, &emit) in evals.iter().enumerate() {
-                if emit {
-                    for (col, src) in key_cols.iter_mut().zip(&sorted.vals) {
-                        col.push(src[r]);
-                    }
-                    for (col, src) in agg_cols.iter_mut().zip(&run_u64) {
-                        col.push(src[r]);
-                    }
+        let mut out_vals: Vec<Vec<u64>> = vec![Vec::new(); nk + na];
+        let (key_cols, agg_cols) = out_vals.split_at_mut(nk);
+        for (r, &emit) in evals.iter().enumerate() {
+            if emit {
+                for (col, src) in key_cols.iter_mut().zip(&sorted.vals) {
+                    col.push(src[r]);
+                }
+                for (col, src) in agg_cols.iter_mut().zip(&run_vals) {
+                    col.push(src[r]);
                 }
             }
-            let groups = cols.first().map(|c| c.len()).unwrap_or(0);
-            let mut reals = vec![true; groups];
-            for c in cols.iter_mut() {
-                c.resize(cap, 0);
-            }
-            reals.resize(cap, false);
-            (cols, reals)
-        } else {
-            (vec![Vec::new(); nk + na], Vec::new())
-        };
+        }
+        let groups = out_vals.first().map(|c| c.len()).unwrap_or(0);
+        let mut out_reals = vec![true; groups];
+        for c in out_vals.iter_mut() {
+            c.resize(n, 0);
+        }
+        out_reals.resize(n, false);
         let mut out_cols = Vec::with_capacity(nk + na);
         for v in &out_vals {
             out_cols.push(self.b.advice_u64(v));
         }
-        let out_real = self.b.advice(
-            &out_reals
-                .iter()
-                .map(|b| if *b { Fq::ONE } else { Fq::ZERO })
-                .collect::<Vec<_>>(),
-        );
+        let out_real = self.b.advice_bits(&out_reals);
         if self.gates.group_by {
             // (E, E·key…, E·M…)  ≡  (real', key'·real'?, …): output dummy
             // rows are all-zero, so mask the output by real' as well.
@@ -1296,70 +1177,63 @@ impl<'a> Compiler<'a> {
     ) -> Result<Region, String> {
         let cap = left.cap;
         let q = left.q;
-        let witness = self.b.with_witness;
         let qe = Expression::fixed(q.index);
 
         // Witness: match left rows against unique right keys.
         let mut right_index: HashMap<u64, usize> = HashMap::new();
-        if witness {
-            for r in 0..right.cap {
-                if right.reals[r] {
-                    let k = right.vals[right_key][r];
-                    assert!(k > 0 && k < MAX_VALUE, "join keys must be in (0, 2^56-1)");
-                    if right_index.insert(k, r).is_some() {
-                        return Err("join PK side not unique".to_string());
-                    }
+        for (r, real) in right.reals.iter().enumerate() {
+            if *real {
+                let k = right.vals[right_key][r];
+                if k == 0 || k >= MAX_VALUE {
+                    return Err(format!("join key {k} outside (0, 2^56-1)"));
+                }
+                if right_index.insert(k, r).is_some() {
+                    return Err("join PK side not unique".to_string());
                 }
             }
         }
         let mut sorted_keys: Vec<u64> = right_index.keys().copied().collect();
         sorted_keys.sort_unstable();
 
-        let (m_vals, joined_vals, out_reals): (Vec<bool>, Vec<Vec<u64>>, Vec<bool>) = if witness {
-            let mut m = Vec::with_capacity(cap);
-            let mut jv: Vec<Vec<u64>> = vec![Vec::with_capacity(cap); right.width()];
-            let mut or = Vec::with_capacity(cap);
-            for r in 0..cap {
-                let k = left.vals[left_key][r];
-                let hit = right_index.get(&k).copied();
-                let matched = left.reals[r] && hit.is_some();
-                m.push(hit.is_some());
-                or.push(matched);
-                for (c, col) in jv.iter_mut().enumerate() {
-                    col.push(match hit {
-                        Some(rr) if matched => right.vals[c][rr],
+        let hits: Vec<Option<usize>> = left.vals[left_key]
+            .iter()
+            .map(|k| right_index.get(k).copied())
+            .collect();
+        let m_vals: Vec<bool> = hits.iter().map(Option::is_some).collect();
+        let out_reals: Vec<bool> = left
+            .reals
+            .iter()
+            .zip(&m_vals)
+            .map(|(l, m)| *l && *m)
+            .collect();
+        let joined_vals: Vec<Vec<u64>> = right
+            .vals
+            .iter()
+            .map(|src| {
+                hits.iter()
+                    .zip(&out_reals)
+                    .map(|(hit, matched)| match hit {
+                        Some(rr) if *matched => src[*rr],
                         _ => 0,
-                    });
-                }
-            }
-            (m, jv, or)
-        } else {
-            (Vec::new(), vec![Vec::new(); right.width()], Vec::new())
-        };
+                    })
+                    .collect()
+            })
+            .collect();
 
-        let mcol = self.b.advice(
-            &m_vals
-                .iter()
-                .map(|b| if *b { Fq::ONE } else { Fq::ZERO })
-                .collect::<Vec<_>>(),
-        );
+        let mcol = self.b.advice_bits(&m_vals);
         let mut jcols = Vec::with_capacity(right.width());
         for v in &joined_vals {
             jcols.push(self.b.advice_u64(v));
         }
-        let out_real_fq: Vec<Fq> = out_reals
-            .iter()
-            .map(|b| if *b { Fq::ONE } else { Fq::ZERO })
-            .collect();
         let out_real = if self.gates.joins {
             self.b.product(
                 q,
                 Expression::advice(left.real.index),
                 Expression::advice(mcol.index),
-                &out_real_fq,
+                &bits(&out_reals),
             )
         } else {
-            self.b.advice(&out_real_fq)
+            self.b.advice_bits(&out_reals)
         };
 
         if self.gates.joins {
@@ -1432,7 +1306,6 @@ impl<'a> Compiler<'a> {
         m_vals: &[bool],
         sorted_keys: &[u64],
     ) -> Result<(), String> {
-        let witness = self.b.with_witness;
         let sk_cap = right.cap + 2;
         let q_sk = self.b.selector(sk_cap);
         // Sentinel source rows live directly after the right region.
@@ -1446,8 +1319,12 @@ impl<'a> Compiler<'a> {
             self.b.write_fixed(col, right.cap + 1, Fq::ONE);
             col
         };
-        // SK region witness: 0, sorted keys, MAX, dummies.
-        let (sk_vals, sk_reals): (Vec<u64>, Vec<bool>) = if witness {
+        // SK region witness: 0, sorted keys, MAX, dummies. Its sentinels are
+        // not computed from the right region's rows, so this is the one
+        // lowering that checks its input for emptiness.
+        let (sk_vals, sk_reals): (Vec<u64>, Vec<bool>) = if right.reals.is_empty() {
+            (Vec::new(), Vec::new())
+        } else {
             let mut v = vec![0u64];
             v.extend_from_slice(sorted_keys);
             v.push(MAX_VALUE);
@@ -1455,16 +1332,9 @@ impl<'a> Compiler<'a> {
             v.resize(sk_cap, 0);
             reals.resize(sk_cap, false);
             (v, reals)
-        } else {
-            (Vec::new(), Vec::new())
         };
         let sk = self.b.advice_u64(&sk_vals);
-        let sk_real = self.b.advice(
-            &sk_reals
-                .iter()
-                .map(|b| if *b { Fq::ONE } else { Fq::ZERO })
-                .collect::<Vec<_>>(),
-        );
+        let sk_real = self.b.advice_bits(&sk_reals);
         // Shuffle: {(real_R, real_R·key_R)} ∪ sentinels = {(sk_real, sk_real·sk)}.
         let rq = Expression::fixed(right.q.index);
         let rr = Expression::advice(right.real.index);
@@ -1494,20 +1364,10 @@ impl<'a> Compiler<'a> {
 
         // PAIROK = sk_real · sk_real(next) materialized for the pair table.
         let q_skpair = self.b.selector(sk_cap.saturating_sub(1));
-        let pair_vals: Vec<Fq> = if witness {
-            (0..sk_cap)
-                .map(|r| {
-                    if r + 1 < sk_cap && sk_reals[r] && sk_reals[r + 1] {
-                        Fq::ONE
-                    } else {
-                        Fq::ZERO
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let pairok = self.b.advice(&pair_vals);
+        let pair_vals: Vec<bool> = (0..sk_reals.len())
+            .map(|r| sk_reals[r] && sk_reals.get(r + 1) == Some(&true))
+            .collect();
+        let pairok = self.b.advice_bits(&pair_vals);
         self.b.cs.create_gate(
             "join-pairok",
             vec![
@@ -1523,47 +1383,37 @@ impl<'a> Compiler<'a> {
 
         // NM = real_L · (1 − m) and the neighbor witnesses lo/hi.
         let cap = left.cap;
-        let nm_vals: Vec<Fq> = if witness {
-            (0..cap)
-                .map(|r| {
-                    if left.reals[r] && !m_vals[r] {
-                        Fq::ONE
-                    } else {
-                        Fq::ZERO
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let nm_vals: Vec<bool> = left
+            .reals
+            .iter()
+            .zip(m_vals)
+            .map(|(real, m)| *real && !*m)
+            .collect();
         let nm = self.b.product(
             left.q,
             Expression::advice(left.real.index),
             Expression::Constant(Fq::ONE) - Expression::advice(mcol.index),
-            &nm_vals,
+            &bits(&nm_vals),
         );
-        let (lo_vals, hi_vals): (Vec<u64>, Vec<u64>) = if witness {
-            (0..cap)
-                .map(|r| {
-                    if left.reals[r] && !m_vals[r] {
-                        let k = left.vals[left_key][r];
-                        // neighbors in 0 ∪ sorted_keys ∪ MAX
-                        let idx = sorted_keys.partition_point(|v| *v < k);
-                        let lo = if idx == 0 { 0 } else { sorted_keys[idx - 1] };
-                        let hi = if idx == sorted_keys.len() {
-                            MAX_VALUE
-                        } else {
-                            sorted_keys[idx]
-                        };
-                        (lo, hi)
+        let (lo_vals, hi_vals): (Vec<u64>, Vec<u64>) = nm_vals
+            .iter()
+            .zip(&left.vals[left_key])
+            .map(|(nm, k)| {
+                if *nm {
+                    // neighbors in 0 ∪ sorted_keys ∪ MAX
+                    let idx = sorted_keys.partition_point(|v| v < k);
+                    let lo = if idx == 0 { 0 } else { sorted_keys[idx - 1] };
+                    let hi = if idx == sorted_keys.len() {
+                        MAX_VALUE
                     } else {
-                        (0, 0)
-                    }
-                })
-                .unzip()
-        } else {
-            (Vec::new(), Vec::new())
-        };
+                        sorted_keys[idx]
+                    };
+                    (lo, hi)
+                } else {
+                    (0, 0)
+                }
+            })
+            .unzip();
         let lo = self.b.advice_u64(&lo_vals);
         let hi = self.b.advice_u64(&hi_vals);
         // Pair lookup: (NM, NM·lo, NM·hi) ∈ (PAIROK, PAIROK·sk, PAIROK·sk_next).
@@ -1585,9 +1435,8 @@ impl<'a> Compiler<'a> {
             ],
         );
         // Gated range checks: NM·(key − lo − 1) and NM·(hi − key − 1) ∈ [0, 2^56).
-        for (name, a, bexpr, av) in [
+        for (a, bexpr, av) in [
             (
-                "lo",
                 left.vals[left_key].clone(),
                 Expression::advice(left.cols[left_key].index)
                     - Expression::advice(lo.index)
@@ -1595,7 +1444,6 @@ impl<'a> Compiler<'a> {
                 lo_vals.clone(),
             ),
             (
-                "hi",
                 hi_vals.clone(),
                 Expression::advice(hi.index)
                     - Expression::advice(left.cols[left_key].index)
@@ -1603,22 +1451,11 @@ impl<'a> Compiler<'a> {
                 left.vals[left_key].clone(),
             ),
         ] {
-            let dv: Vec<u64> = if witness {
-                (0..cap)
-                    .map(|r| {
-                        if left.reals[r] && !m_vals[r] {
-                            a[r] - av[r] - 1
-                        } else {
-                            0
-                        }
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            let dv: Vec<u64> = (0..nm_vals.len())
+                .map(|r| if nm_vals[r] { a[r] - av[r] - 1 } else { 0 })
+                .collect();
             let dfq: Vec<Fq> = dv.iter().map(|v| Fq::from_u64(*v)).collect();
             let dcol = self.b.product(left.q, nme.clone(), bexpr, &dfq);
-            let _ = name;
             self.b.range_check(left.q, dcol, VALUE_BYTES, &dv, cap);
         }
         Ok(())
@@ -1633,12 +1470,7 @@ impl<'a> Compiler<'a> {
         // compacted real-first by the preceding sort).
         let q = self.b.selector(cap);
         let reals: Vec<bool> = input.reals.iter().take(cap).copied().collect();
-        let real = self.b.advice(
-            &reals
-                .iter()
-                .map(|b| if *b { Fq::ONE } else { Fq::ZERO })
-                .collect::<Vec<_>>(),
-        );
+        let real = self.b.advice_bits(&reals);
         // real_out = real_in row-wise on the kept prefix (copy constraints).
         for r in 0..cap {
             self.b.copy(
@@ -1672,30 +1504,15 @@ impl<'a> Compiler<'a> {
     // --------------------------------------------------------------
     fn mask_output(&mut self, input: &Region) -> Region {
         let cap = input.cap;
-        let witness = self.b.with_witness;
         let mut cols = Vec::with_capacity(input.width());
         let mut vals = Vec::with_capacity(input.width());
-        for (j, c) in input.cols.iter().enumerate() {
-            let mv: Vec<Fq> = if witness {
-                (0..cap)
-                    .map(|r| {
-                        if input.reals[r] {
-                            Fq::from_u64(input.vals[j][r])
-                        } else {
-                            Fq::ZERO
-                        }
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let mu: Vec<u64> = if witness {
-                (0..cap)
-                    .map(|r| if input.reals[r] { input.vals[j][r] } else { 0 })
-                    .collect()
-            } else {
-                Vec::new()
-            };
+        for (c, v) in input.cols.iter().zip(&input.vals) {
+            let mu: Vec<u64> = v
+                .iter()
+                .zip(&input.reals)
+                .map(|(v, real)| if *real { *v } else { 0 })
+                .collect();
+            let mv: Vec<Fq> = mu.iter().map(|v| Fq::from_u64(*v)).collect();
             let out = self.b.product(
                 input.q,
                 Expression::advice(input.real.index),
@@ -1713,61 +1530,6 @@ impl<'a> Compiler<'a> {
             vals,
             reals: input.reals.clone(),
         }
-    }
-}
-
-/// Placeholder column used before the min/max running column exists; the
-/// gate is rewritten by [`patch_prev_carry`] once it does.
-fn run_placeholder() -> usize {
-    usize::MAX
-}
-
-/// Rewrite the `agg-prev-carry` placeholder gate to reference the real
-/// running column.
-fn patch_prev_carry(cs: &mut ConstraintSystem<Fq>, tcol: Column, mcol: Column) {
-    for gate in cs.gates.iter_mut().rev() {
-        if gate.name == "agg-prev-carry" {
-            if let Some(expr) = gate.polys.first_mut() {
-                if uses_placeholder(expr) {
-                    *expr = rewrite_placeholder(expr.clone(), mcol);
-                    let _ = tcol;
-                    return;
-                }
-            }
-        }
-    }
-}
-
-fn uses_placeholder(e: &Expression<Fq>) -> bool {
-    match e {
-        Expression::Var(q) => q.column.index == run_placeholder(),
-        Expression::Negated(i) | Expression::Scaled(i, _) => uses_placeholder(i),
-        Expression::Sum(a, b) | Expression::Product(a, b) => {
-            uses_placeholder(a) || uses_placeholder(b)
-        }
-        _ => false,
-    }
-}
-
-fn rewrite_placeholder(e: Expression<Fq>, mcol: Column) -> Expression<Fq> {
-    match e {
-        Expression::Var(mut q) => {
-            if q.column.index == run_placeholder() {
-                q.column = mcol;
-            }
-            Expression::Var(q)
-        }
-        Expression::Negated(i) => Expression::Negated(Box::new(rewrite_placeholder(*i, mcol))),
-        Expression::Scaled(i, s) => Expression::Scaled(Box::new(rewrite_placeholder(*i, mcol)), s),
-        Expression::Sum(a, b) => Expression::Sum(
-            Box::new(rewrite_placeholder(*a, mcol)),
-            Box::new(rewrite_placeholder(*b, mcol)),
-        ),
-        Expression::Product(a, b) => Expression::Product(
-            Box::new(rewrite_placeholder(*a, mcol)),
-            Box::new(rewrite_placeholder(*b, mcol)),
-        ),
-        other => other,
     }
 }
 

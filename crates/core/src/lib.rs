@@ -17,7 +17,6 @@ pub mod mutate;
 mod session;
 mod wire;
 
-pub use builder::{BitCol, Builder};
 pub use cache::LruCache;
 pub use compiler::{compile, CompiledQuery, GateSet};
 pub use db::{
@@ -326,6 +325,39 @@ mod tests {
         reg.publish("hospital-2026-06", c1.digest()).unwrap();
         assert!(reg.publish("hospital-2026-06", c3.digest()).is_err());
         assert_eq!(reg.lookup("hospital-2026-06"), Some(c1.digest()));
+    }
+
+    #[test]
+    fn five_sort_keys_are_a_compile_error() {
+        let db = test_db();
+        let plan = Plan::Sort {
+            input: Box::new(scan("t")),
+            keys: vec![(0, false), (1, false), (2, false), (1, true), (2, true)],
+        };
+        let trace = execute(&db, &plan).expect("the executor sorts by five keys");
+        let err = compile(&db, &plan, Some(&trace), GateSet::default())
+            .err()
+            .expect("the composite key holds at most four attributes");
+        assert!(err.contains("at most 4 attributes"), "{err}");
+        assert!(compile(&database_shape(&db), &plan, None, GateSet::default()).is_err());
+    }
+
+    #[test]
+    fn negative_intermediate_is_a_compile_error() {
+        let db = test_db();
+        // id − val < 0 on every row of `t`
+        let plan = Plan::Project {
+            input: Box::new(scan("t")),
+            exprs: vec![(
+                "d".into(),
+                ScalarExpr::Sub(Box::new(ScalarExpr::Col(0)), Box::new(ScalarExpr::Col(2))),
+            )],
+        };
+        let trace = execute(&db, &plan).expect("the executor computes negative values");
+        let err = compile(&db, &plan, Some(&trace), GateSet::default())
+            .err()
+            .expect("the circuit's value domain has no negatives");
+        assert!(err.contains("negative intermediate"), "{err}");
     }
 
     #[test]
